@@ -30,7 +30,7 @@ from .polynomials import (
     multinomial,
     vectors_with_sum,
 )
-from .simplices import BarycentricSystem, barycentric_system
+from .simplices import BarycentricSystem
 
 __all__ = [
     "DegreeTooLowError",

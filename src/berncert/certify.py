@@ -6,9 +6,10 @@ classification of its coefficients.  A node whose classification already
 meets the target becomes a certified leaf; otherwise the strategy either
 splits an edge (children partition the node's simplex) or elevates the
 degree (single child, same simplex) until the depth/degree budget runs
-out.  The tree is a checkable proof object: ``verify_tree`` re-derives
-every leaf from the root polynomial through the general re-expansion
-route and validates the partition structure.
+out.  Split children get their forms from the closed-form edge move
+(``edge_split_forms``) in every dimension.  The tree is a checkable proof
+object: ``verify_tree`` re-derives every leaf from the root polynomial
+with ``to_bernstein`` and validates the partition structure.
 
 Everything is deterministic: same input, same tree, same serialization.
 """
@@ -31,7 +32,7 @@ from .bernstein import (
 )
 from .polynomials import Polynomial, grlex_key
 from .simplices import Simplex, barycentric_system, contains_point
-from .subdivision import edge_split_forms, restrict_general, split_edge
+from .subdivision import edge_split_forms, split_edge
 
 __all__ = [
     "Strategy",
@@ -160,20 +161,6 @@ def _witness_edge(form: BernsteinForm, status: CertStatus) -> tuple[int, int]:
     return i, j
 
 
-def _child_forms(
-    p: Polynomial, form: BernsteinForm, i: int, j: int, theta: Fraction
-) -> tuple[tuple[Simplex, Simplex], tuple[BernsteinForm, BernsteinForm]]:
-    children = split_edge(form.system.simplex, i, j, theta)
-    if form.simplex.dimension == 2:
-        forms = edge_split_forms(form, i, j, theta)
-    else:
-        forms = (
-            to_bernstein(p, barycentric_system(children[0]), form.degree),
-            to_bernstein(p, barycentric_system(children[1]), form.degree),
-        )
-    return children, forms
-
-
 def certify(p: Polynomial, simplex: Simplex, config: CertifyConfig) -> CertificateTree:
     """Search for a coefficient-sign certificate of p on the simplex.
 
@@ -194,14 +181,13 @@ def certify(p: Polynomial, simplex: Simplex, config: CertifyConfig) -> Certifica
             f"max_degree {max_degree} is below the polynomial degree {start_degree}"
         )
     root_form = to_bernstein(p, barycentric_system(simplex), start_degree)
-    return _grow(p, root_form, 0, config, max_degree, at_root=True)
+    return _grow(root_form, 0, config, max_degree, at_root=True)
 
 
 _HALF = Fraction(1, 2)
 
 
 def _grow(
-    p: Polynomial,
     form: BernsteinForm,
     depth: int,
     config: CertifyConfig,
@@ -215,7 +201,7 @@ def _grow(
     strategy = config.strategy
     if strategy is Strategy.ELEVATION_ONLY:
         if form.degree < max_degree:
-            child = _grow(p, degree_elevate(form, 1), depth, config, max_degree, False)
+            child = _grow(degree_elevate(form, 1), depth, config, max_degree, False)
             return CertificateTree(form, status, Elevation(1), (child,))
         return CertificateTree(form, status)
 
@@ -225,7 +211,7 @@ def _grow(
         and form.degree < max_degree
     ):
         steps = max_degree - form.degree
-        child = _grow(p, degree_elevate(form, steps), depth, config, max_degree, False)
+        child = _grow(degree_elevate(form, steps), depth, config, max_degree, False)
         return CertificateTree(form, status, Elevation(steps), (child,))
 
     if depth >= config.max_depth:
@@ -235,9 +221,9 @@ def _grow(
         i, j = _longest_edge(form.system.simplex)
     else:  # WITNESS_GUIDED_SPLIT, and ELEVATION_THEN_SPLIT after its elevation
         i, j = _witness_edge(form, status)
-    _, forms = _child_forms(p, form, i, j, _HALF)
     children = tuple(
-        _grow(p, f, depth + 1, config, max_degree, False) for f in forms
+        _grow(f, depth + 1, config, max_degree, False)
+        for f in edge_split_forms(form, i, j, _HALF)
     )
     return CertificateTree(form, status, EdgeSplit(i, j, _HALF), children)
 
@@ -316,8 +302,8 @@ def verify_tree(tree: CertificateTree) -> bool:
     is broken), confirms every node's status against its stored
     coefficients, confirms every node still represents the root
     polynomial, and independently recomputes every leaf's form from the
-    root polynomial through the general re-expansion route.  Returns
-    False on any value mismatch.
+    root polynomial with ``to_bernstein`` (a linear solve, not the
+    search's edge move).  Returns False on any value mismatch.
     """
     root_poly = from_bernstein(tree.form)
     for _, node in walk(tree):

@@ -8,7 +8,7 @@ standard output on a failed run.
 
 Exit codes: 0 success/Certified, 1 Exhausted or report mismatch,
 2 unparseable input, 3 requested degree below the polynomial degree,
-4 degenerate simplex.
+4 degenerate simplex, 5 search nested deeper than the recursion limit.
 """
 
 from __future__ import annotations
@@ -345,6 +345,9 @@ def main(argv=None) -> int:
     except DegenerateSimplexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except RecursionError:
+        print("error: search nested deeper than the recursion limit", file=sys.stderr)
+        return 5
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

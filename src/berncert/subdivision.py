@@ -1,9 +1,9 @@
 """Coefficient transfer between Bernstein bases under vertex replacement.
 
-For a triangle (v0, v1, v2) these are the exact closed-form transfers:
+The exact closed-form transfers (the last two on triangles only):
 
-* ``transfer_edge_v2``: replace v2 by a point on the v0-v2 edge,
-  w2 = rho*v0 + (1-rho)*v2 with rho in [0, 1).
+* ``transfer_edge_v2``: replace the last vertex vn of any n-simplex by a
+  point of the v0-vn edge, wn = rho*v0 + (1-rho)*vn with rho in [0, 1).
 * ``transfer_vertex_v1``: replace v1 by any admissible interior/edge point
   w1 = beta0*v0 + beta1*v1 + beta2*v2 (beta0, beta2 >= 0, beta1 > 0).
 * ``transfer_combined``: both replacements at once, as a single double
@@ -14,7 +14,7 @@ For a triangle (v0, v1, v2) these are the exact closed-form transfers:
 back to the monomial basis and re-expand it on the target simplex; it
 must agree with every closed-form transfer.  ``split_edge`` produces the
 two children of an edge subdivision, and ``edge_split_forms`` computes
-their coefficients exactly via slot permutation plus the edge transfer.
+their coefficients exactly, in any dimension, with one edge transfer each.
 """
 
 from __future__ import annotations
@@ -71,28 +71,35 @@ def _combine(points: Sequence[tuple[Fraction, ...]], weights: Sequence[Fraction]
 
 
 def transfer_edge_v2(form: BernsteinForm, rho) -> BernsteinForm:
-    """Move v2 to w2 = rho*v0 + (1-rho)*v2, rho in [0, 1).
+    """Move the last vertex vn to wn = rho*v0 + (1-rho)*vn, rho in [0, 1).
 
-    New coefficients:
-    b~_g = sum_{k=0}^{g2} C(g2, g2-k) rho^(g2-k) (1-rho)^k b_(g0+g2-k, g1, k)
+    Works on any n-simplex and leaves the middle slots untouched:
+    b~_g = sum_{k=0}^{gn} C(gn, gn-k) rho^(gn-k) (1-rho)^k b_(g0+gn-k, g1..g(n-1), k)
     """
-    _check_triangle(form)
     rho = as_rational(rho)
     _check_edge_ratio(rho)
-    v0, v1, v2 = form.simplex.vertices
-    new_simplex = Simplex((v0, v1, _combine((v0, v2), (rho, 1 - rho))))
+    vertices = form.simplex.vertices
+    n = len(vertices) - 1
+    wn = _combine((vertices[0], vertices[n]), (rho, 1 - rho))
     d = form.degree
+    # weights[m][k] = C(m, m-k) rho^(m-k) (1-rho)^k, built once for every index
+    weights = [
+        [comb(m, k) * rho ** (m - k) * (1 - rho) ** k for k in range(m + 1)]
+        for m in range(d + 1)
+    ]
     coeffs = form.coeffs
     out: dict[tuple[int, ...], Fraction] = {}
-    for gamma in vectors_with_sum(3, d):
-        g0, g1, g2 = gamma
+    for gamma in vectors_with_sum(n + 1, d):
+        gn, middle = gamma[n], gamma[1:n]
+        row = weights[gn]
         total = Fraction(0)
-        for k in range(g2 + 1):
-            b = coeffs.get((g0 + g2 - k, g1, k))
+        for k in range(gn + 1):
+            b = coeffs.get((gamma[0] + gn - k, *middle, k))
             if b:
-                total += comb(g2, g2 - k) * rho ** (g2 - k) * (1 - rho) ** k * b
+                total += row[k] * b
         if total:
             out[gamma] = total
+    new_simplex = form.simplex.replace_vertex(n, wn)
     return BernsteinForm(barycentric_system(new_simplex), d, out)
 
 
@@ -220,26 +227,25 @@ def permute_slots(form: BernsteinForm, order: Sequence[int]) -> BernsteinForm:
 def edge_split_forms(
     form: BernsteinForm, i: int, j: int, theta
 ) -> tuple[BernsteinForm, BernsteinForm]:
-    """Exact Bernstein forms of the two ``split_edge`` children (triangles only).
+    """Exact Bernstein forms of the two ``split_edge`` children, in any dimension.
 
     Replacing an endpoint of the split edge with a point of that edge is
-    the v2 edge move after relabeling slots, so each child needs only one
-    closed-form transfer instead of a full change of basis.
+    the edge move after relabeling the slots as (anchor, the other slots in
+    order, replaced), so each child needs only one closed-form transfer
+    instead of a full change of basis.
     """
-    _check_triangle(form)
+    lower, upper = split_edge(form.simplex, i, j, theta)
     theta = as_rational(theta)
-    if not (0 < theta < 1):
-        raise ValueError(f"theta must satisfy 0 < theta < 1, got {theta}")
-    if i == j or not (0 <= i <= 2 and 0 <= j <= 2):
-        raise ValueError(f"bad edge ({i}, {j})")
-    k = 3 - i - j  # the untouched slot
+    slots = form.simplex.dimension + 1
 
-    def child(anchor: int, replaced: int, rho: Fraction) -> BernsteinForm:
-        order = (anchor, k, replaced)
-        inverse = tuple(order.index(t) for t in range(3))
+    def child(anchor: int, replaced: int, rho: Fraction, simplex: Simplex):
+        rest = [t for t in range(slots) if t not in (anchor, replaced)]
+        order = (anchor, *rest, replaced)
+        inverse = tuple(order.index(t) for t in range(slots))
         moved = transfer_edge_v2(permute_slots(form, order), rho)
-        return permute_slots(moved, inverse)
+        out = {tuple(g[o] for o in inverse): b for g, b in moved.coeffs.items()}
+        return BernsteinForm(barycentric_system(simplex), form.degree, out)
 
     # w = (1-theta)*v_i + theta*v_j; as a point of the v_i-v_j edge seen
     # from anchor v_i it sits at rho = 1-theta, seen from v_j at rho = theta
-    return child(i, j, 1 - theta), child(j, i, theta)
+    return child(i, j, 1 - theta, lower), child(j, i, theta, upper)

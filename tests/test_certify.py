@@ -19,6 +19,7 @@ from berncert import (
     deepest_failing_leaf,
     enclosure_bound,
     failing_leaves,
+    from_bernstein,
     is_certified,
     parse_polynomial,
     split_demo_polynomial,
@@ -199,6 +200,15 @@ def test_verify_tree_accepts_real_trees():
         assert verify_tree(tree)
     demo = certify(split_demo_polynomial(), STD2, CertifyConfig(max_depth=1))
     assert verify_tree(demo)
+
+
+def test_three_variable_search_uses_exact_child_forms():
+    p = parse_polynomial("x1^2 + x2^2 + x3^2 - x1*x2 - x2*x3 + 1/100")
+    tree = certify(p, standard_simplex(3), CertifyConfig(target=Target.POSITIVE))
+    assert is_certified(tree, Target.POSITIVE)
+    assert sum(1 for _ in walk(tree)) == 9
+    assert verify_tree(tree)
+    assert all(from_bernstein(node.form) == p for _, node in walk(tree))
 
 
 def test_verify_tree_detects_tampered_leaf():

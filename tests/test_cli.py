@@ -77,6 +77,13 @@ def test_exit_code_degenerate_simplex(capsys):
     assert "degenerate" in err
 
 
+def test_exit_code_recursion_limit(capsys):
+    code, out, err = run(capsys, "certify", "x1 - 1/2", "--max-depth", "1200")
+    assert code == 5  # not 1, which means Exhausted
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_simplex_from_file(tmp_path, capsys):
     spec = tmp_path / "simplex.json"
     spec.write_text('{"vertices": [[0, 0], [1, 0], [0, 1]]}')

@@ -34,14 +34,18 @@ def _form_on(rng, p, n=2, extra=0):
 
 def test_transfer_edge_matches_general_reexpansion():
     rng = random.Random(1001)
-    for _ in range(8):
-        p = rand_polynomial(rng, max_degree=4)
-        form = _form_on(rng, p)
-        for _ in range(3):
-            rho = rand_edge_ratio(rng)
-            moved = transfer_edge_v2(form, rho)
-            assert moved == restrict_general(form, moved.simplex)
-            assert from_bernstein(moved) == p
+    for n, rounds, max_degree in ((2, 8, 4), (1, 4, 4), (3, 3, 3), (4, 2, 2)):
+        for _ in range(rounds):
+            p = rand_polynomial(rng, num_vars=n, max_degree=max_degree)
+            form = _form_on(rng, p, n=n)
+            for _ in range(3):
+                rho = rand_edge_ratio(rng)
+                moved = transfer_edge_v2(form, rho)
+                v0, vn = form.simplex.vertices[0], form.simplex.vertices[n]
+                wn = tuple(rho * a + (1 - rho) * b for a, b in zip(v0, vn))
+                assert moved.simplex.vertices == form.simplex.vertices[:n] + (wn,)
+                assert moved == restrict_general(form, moved.simplex)
+                assert from_bernstein(moved) == p
 
 
 def test_transfer_edge_rho_zero_is_identity():
@@ -158,14 +162,27 @@ def test_permute_slots_round_trip():
 
 def test_edge_split_forms_match_general_reexpansion():
     rng = random.Random(1011)
+    cases = []
     for _ in range(6):
         p = rand_polynomial(rng, max_degree=4)
         s = rand_simplex(rng)
         form = to_bernstein(p, barycentric_system(s), max(p.degree, 1))
         i = rng.randrange(3)
         j = rng.choice([k for k in range(3) if k != i])
+        cases.append((form, i, j, rand_interior_ratio(rng)))
+    # every edge, in both directions, of simplices of dimension 1 to 4
+    for n, max_degree in ((1, 4), (2, 4), (3, 2), (4, 2)):
+        p = rand_polynomial(rng, num_vars=n, max_degree=max_degree)
+        form = _form_on(rng, p, n=n)
         theta = rand_interior_ratio(rng)
-        children = split_edge(s, i, j, theta)
+        cases += [
+            (form, i, j, theta)
+            for i in range(n + 1)
+            for j in range(n + 1)
+            if i != j
+        ]
+    for form, i, j, theta in cases:
+        children = split_edge(form.simplex, i, j, theta)
         forms = edge_split_forms(form, i, j, theta)
         for child, child_form in zip(children, forms):
             assert child_form.simplex == child
