@@ -10,6 +10,10 @@ are nonnegative on the simplex and sum to 1, the coefficient signs are
 certificates: all b_alpha > 0 proves P > 0 on the simplex, all >= 0
 proves P >= 0, and [min b, max b] encloses the range of P there.
 
+``to_bernstein`` (a linear solve for the b_alpha) and ``from_bernstein``
+(the sum above) read the same table of basis polynomials B_alpha, built
+with one polynomial multiplication per index.
+
 Forms store only nonzero coefficients; an absent index reads as 0 and
 implicit zeros count when classifying (they block a strict-positivity
 certificate) and when computing enclosure bounds.
@@ -146,36 +150,31 @@ class CertStatus:
     negative_indices: tuple[tuple[int, ...], ...] = ()
 
 
-def _lambda_power(coords: tuple[Polynomial, ...], alpha: tuple[int, ...],
-                  pow_cache: dict) -> Polynomial:
-    # product of coords[i]**alpha[i], with per-coordinate power caching
-    num_vars = coords[0].num_vars
-    out = Polynomial.constant(num_vars, 1)
-    for i, e in enumerate(alpha):
-        if not e:
-            continue
-        key = (i, e)
-        p = pow_cache.get(key)
-        if p is None:
-            p = coords[i] ** e
-            pow_cache[key] = p
-        out = out * p
-    return out
+def _basis(
+    system: BarycentricSystem, degree: int, alphas: Iterable[tuple[int, ...]]
+) -> dict[tuple[int, ...], Polynomial]:
+    """{alpha: B_alpha} for the given indices, all summing to ``degree``.
 
-
-def _all_lambda_products(system: BarycentricSystem, degree: int) -> dict:
-    """lambda^alpha for every |alpha| = degree, built one multiplication each."""
+    lambda^alpha is lambda^(alpha - e_i) * lambda_i for the first nonzero
+    alpha_i, so every index, and every index below it that is not built
+    yet, costs one polynomial multiplication.
+    """
     n = system.simplex.dimension
-    level = {(0,) * (n + 1): Polynomial.constant(n, 1)}
-    for _ in range(degree):
-        nxt: dict[tuple[int, ...], Polynomial] = {}
-        for alpha, poly in level.items():
-            for i in range(n + 1):
-                up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-                if up not in nxt:
-                    nxt[up] = poly * system.coords[i]
-        level = nxt
-    return level
+    coords = system.coords
+    products = {(0,) * (n + 1): Polynomial.constant(n, 1)}
+
+    def product(alpha: tuple[int, ...]) -> Polynomial:
+        chain = []
+        while alpha not in products:
+            i = next(k for k, a in enumerate(alpha) if a)
+            chain.append((alpha, i))
+            alpha = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+        for up, i in reversed(chain):
+            products[up] = products[alpha] * coords[i]
+            alpha = up
+        return products[alpha]
+
+    return {alpha: multinomial(degree, alpha) * product(alpha) for alpha in alphas}
 
 
 def bernstein_basis_polynomial(
@@ -188,8 +187,7 @@ def bernstein_basis_polynomial(
         raise ValueError(
             f"bad multi-index {alpha}: need {n + 1} nonnegative entries summing to {degree}"
         )
-    coeff = multinomial(degree, alpha)
-    return coeff * _lambda_power(system.coords, alpha, {})
+    return _basis(system, degree, (alpha,))[alpha]
 
 
 def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> BernsteinForm:
@@ -211,9 +209,7 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
     monomials = [e for t in range(degree + 1) for e in vectors_with_sum(n, t)]
     assert len(alphas) == len(monomials)
 
-    products = _all_lambda_products(system, degree)
-    basis = {a: multinomial(degree, a) * products[a] for a in alphas}
-
+    basis = _basis(system, degree, alphas)
     matrix = [[basis[a].coefficient(m) for a in alphas] for m in monomials]
     rhs = [p.coefficient(m) for m in monomials]
     solution = linalg.solve(matrix, rhs)
@@ -222,15 +218,13 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
 
 
 def from_bernstein(form: BernsteinForm) -> Polynomial:
-    """Expand the form back into the monomial basis (exact)."""
-    n = form.simplex.dimension
-    out = Polynomial.zero(n)
-    pow_cache: dict = {}
+    """Expand the form back into the monomial basis: sum of b_alpha * B_alpha (exact)."""
+    basis = _basis(form.system, form.degree, form.coeffs)
+    terms: dict[tuple[int, ...], Fraction] = {}
     for alpha, b in form.coeffs.items():
-        out = out + (b * multinomial(form.degree, alpha)) * _lambda_power(
-            form.system.coords, alpha, pow_cache
-        )
-    return out
+        for exps, c in basis[alpha].terms.items():
+            terms[exps] = terms.get(exps, 0) + b * c
+    return Polynomial(form.simplex.dimension, terms)
 
 
 def degree_elevate(form: BernsteinForm, steps: int) -> BernsteinForm:

@@ -31,7 +31,7 @@ from .bernstein import (
     to_bernstein,
 )
 from .polynomials import Polynomial, grlex_key
-from .simplices import Simplex, barycentric_system, contains_point
+from .simplices import Simplex, barycentric_system
 from .subdivision import edge_split_forms, split_edge
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "status_meets",
     "is_certified",
     "failing_leaves",
-    "deepest_failing_leaf",
     "verify_tree",
     "walk",
 ]
@@ -243,15 +242,6 @@ def failing_leaves(
     ]
 
 
-def deepest_failing_leaf(
-    tree: CertificateTree, target: Target
-) -> tuple[tuple[int, ...], CertificateTree] | None:
-    frontier = failing_leaves(tree, target)
-    if not frontier:
-        return None
-    return max(frontier, key=lambda pn: (len(pn[0]), pn[0]))
-
-
 def _check_partition(node: CertificateTree) -> None:
     if node.split is None:
         if node.children:
@@ -286,7 +276,7 @@ def _check_partition(node: CertificateTree) -> None:
                 "children do not match the recorded edge split"
             )
         for vertex in child.simplex.vertices:
-            if not contains_point(node.simplex, vertex):
+            if any(c < 0 for c in node.form.system.at(vertex)):
                 raise MalformedTreeError(
                     "child vertex lies outside the parent simplex"
                 )

@@ -284,9 +284,12 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
     if frontier:
         lines.append(f"frontier: {len(frontier)} indeterminate leaf/leaves")
         for path, leaf in frontier[:10]:
-            worst = min(
-                leaf.status.negative_indices, key=lambda idx: leaf.form.coeffs[idx]
-            )
+            if leaf.status.negative_indices:
+                worst = min(
+                    leaf.status.negative_indices, key=lambda idx: leaf.form.coeffs[idx]
+                )
+            else:  # nonnegative but not positive: show its first zero coefficient
+                worst = next(i for i in leaf.form.indices() if i not in leaf.form.coeffs)
             route = ".".join(str(step) for step in path) or "root"
             lines.append(
                 f"  path {route} degree {leaf.form.degree} simplex "

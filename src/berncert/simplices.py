@@ -1,10 +1,11 @@
 """Simplices over Q^n and their barycentric coordinate systems.
 
 A ``Simplex`` is n+1 affinely independent vertices in Q^n; construction
-rejects degenerate vertex sets.  ``barycentric_system`` returns the n+1
-affine polynomials lambda_0 .. lambda_n with lambda_i(v_j) = delta_ij and
-sum(lambda_i) = 1; a point lies in the (closed) simplex iff all its
-barycentric coordinates are >= 0.
+rejects degenerate vertex sets.  ``barycentric_system`` pairs a simplex
+with its n+1 affine polynomials lambda_0 .. lambda_n, lambda_i(v_j) =
+delta_ij and sum(lambda_i) = 1, which are solved on first read: forms
+derived by closed-form transfers never need them.  A point lies in the
+(closed) simplex iff all its barycentric coordinates are >= 0.
 """
 
 from __future__ import annotations
@@ -95,16 +96,40 @@ def standard_simplex(n: int) -> Simplex:
 
 
 class BarycentricSystem:
-    """The simplex together with its coordinate polynomials lambda_0 .. lambda_n."""
+    """The simplex together with its coordinate polynomials lambda_0 .. lambda_n.
 
-    __slots__ = ("simplex", "coords")
+    ``coords`` is solved from the vertices on first read and kept.
+    """
 
-    def __init__(self, simplex: Simplex, coords: tuple[Polynomial, ...]):
+    __slots__ = ("simplex", "_coords")
+
+    def __init__(self, simplex: Simplex):
         object.__setattr__(self, "simplex", simplex)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_coords", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BarycentricSystem is immutable")
+
+    @property
+    def coords(self) -> tuple[Polynomial, ...]:
+        """lambda_i(x) = a_0 + sum a_k x_k with lambda_i(v_j) = delta_ij.
+
+        The coefficient vectors are the columns of the inverse of the
+        affine vertex matrix M (row j is (1, v_j)), which is invertible
+        because the simplex is nondegenerate.
+        """
+        if self._coords is None:
+            n = self.simplex.dimension
+            inv = invert([[Fraction(1), *v] for v in self.simplex.vertices])
+            coords = []
+            for i in range(n + 1):
+                terms = {(0,) * n: inv[0][i]}
+                for k in range(n):
+                    exps = tuple(1 if t == k else 0 for t in range(n))
+                    terms[exps] = inv[k + 1][i]
+                coords.append(Polynomial(n, terms))
+            object.__setattr__(self, "_coords", tuple(coords))
+        return self._coords
 
     def at(self, point: Sequence) -> tuple[Fraction, ...]:
         """Barycentric coordinates of a point (exact)."""
@@ -120,24 +145,8 @@ class BarycentricSystem:
 
 
 def barycentric_system(simplex: Simplex) -> BarycentricSystem:
-    """Solve for the affine coordinate polynomials of a simplex.
-
-    lambda_i has coefficient vector a with lambda_i(x) = a_0 + sum a_k x_k
-    and lambda_i(v_j) = delta_ij, i.e. M a = e_i for the affine vertex
-    matrix M; the simplex being nondegenerate makes M invertible.
-    """
-    n = simplex.dimension
-    m = [[Fraction(1), *simplex.vertices[j]] for j in range(n + 1)]
-    inv = invert(m)
-    coords = []
-    for i in range(n + 1):
-        col = [inv[r][i] for r in range(n + 1)]
-        terms = {(0,) * n: col[0]}
-        for k in range(n):
-            exps = tuple(1 if t == k else 0 for t in range(n))
-            terms[exps] = col[k + 1]
-        coords.append(Polynomial(n, terms))
-    return BarycentricSystem(simplex, tuple(coords))
+    """The coordinate system of a simplex; nothing is solved until ``coords`` is read."""
+    return BarycentricSystem(simplex)
 
 
 def contains_point(simplex: Simplex, point: Sequence) -> bool:

@@ -16,7 +16,6 @@ from berncert import (
     Target,
     certify,
     counterexample_polynomial,
-    deepest_failing_leaf,
     enclosure_bound,
     failing_leaves,
     from_bernstein,
@@ -154,9 +153,6 @@ def test_counterexample_exhausts_with_negative_frontier():
     frontier = failing_leaves(tree, Target.NONNEGATIVE)
     assert frontier
     assert any(leaf.status.negative_indices for _, leaf in frontier)
-    deepest = deepest_failing_leaf(tree, Target.NONNEGATIVE)
-    assert deepest is not None
-    assert len(deepest[0]) == max(len(path) for path, _ in frontier)
 
 
 def test_walk_paths_address_children():
@@ -209,6 +205,31 @@ def test_three_variable_search_uses_exact_child_forms():
     assert sum(1 for _ in walk(tree)) == 9
     assert verify_tree(tree)
     assert all(from_bernstein(node.form) == p for _, node in walk(tree))
+
+
+def test_search_solves_barycentric_coordinates_only_for_the_root(monkeypatch):
+    import berncert.simplices
+
+    calls = []
+    invert = berncert.simplices.invert
+    monkeypatch.setattr(
+        berncert.simplices, "invert", lambda m: calls.append(m) or invert(m)
+    )
+    runs = (
+        (counterexample_polynomial(), STD2, CertifyConfig(max_depth=8)),
+        (
+            parse_polynomial("x1^2 + x2^2 + x3^2 - x1*x2 - x2*x3 + 1/100"),
+            standard_simplex(3),
+            CertifyConfig(
+                max_depth=3, strategy=Strategy.EDGE_BISECTION, target=Target.POSITIVE
+            ),
+        ),
+    )
+    for p, simplex, config in runs:
+        calls.clear()
+        tree = certify(p, simplex, config)
+        assert tree.children  # the search split, yet only the root's to_bernstein solved
+        assert len(calls) == 1
 
 
 def test_verify_tree_detects_tampered_leaf():

@@ -141,6 +141,19 @@ def test_certify_counterexample_exhausts(capsys):
     assert "frontier" in out
 
 
+def test_certify_positive_target_reports_a_zero_coefficient(capsys):
+    argv = ["certify", "x1^2", "--target", "positive", "--max-depth", "2"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert "status: Exhausted" in out
+    assert "b(1, 1) = 0 (0 negative)" in out
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    payload = parse_json_exact(out)
+    assert payload["status"] == "exhausted"
+    assert payload["failing"] == [{"path": [0, 0], "negative_indices": []}]
+
+
 def test_certify_json_is_byte_identical_across_runs(capsys):
     argv = [
         "certify",

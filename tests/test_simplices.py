@@ -69,6 +69,11 @@ def test_barycentric_polynomials_sum_to_one():
         assert total == Polynomial.constant(s.dimension, 1)
 
 
+def test_barycentric_coordinates_are_solved_once():
+    system = barycentric_system(rand_simplex(random.Random(8)))
+    assert system.coords is system.coords
+
+
 def test_barycentric_coordinates_reconstruct_point():
     rng = random.Random(7)
     s = rand_simplex(rng)
