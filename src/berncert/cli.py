@@ -282,7 +282,11 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
         f"tree: {nodes} node(s), {leaves} leaf/leaves, height {height}",
     ]
     if frontier:
-        lines.append(f"frontier: {len(frontier)} indeterminate leaf/leaves")
+        negative = sum(1 for _, leaf in frontier if leaf.status.negative_indices)
+        lines.append(
+            f"frontier: {len(frontier)} leaf/leaves short of the target "
+            f"({negative} indeterminate, {len(frontier) - negative} nonnegative)"
+        )
         for path, leaf in frontier[:10]:
             if leaf.status.negative_indices:
                 worst = min(

@@ -2,8 +2,9 @@
 
 The exact closed-form transfers (the last two on triangles only):
 
-* ``transfer_edge_v2``: replace the last vertex vn of any n-simplex by a
-  point of the v0-vn edge, wn = rho*v0 + (1-rho)*vn with rho in [0, 1).
+* ``transfer_edge_v2``: replace a vertex v_j of any n-simplex by a point
+  of any edge (v_i, v_j), w = rho*v_i + (1-rho)*v_j with rho in [0, 1);
+  the default pair (0, n) is the paper's edge lemma.
 * ``transfer_vertex_v1``: replace v1 by any admissible interior/edge point
   w1 = beta0*v0 + beta1*v1 + beta2*v2 (beta0, beta2 >= 0, beta1 > 0).
 * ``transfer_combined``: both replacements at once, as a single double
@@ -14,7 +15,8 @@ The exact closed-form transfers (the last two on triangles only):
 back to the monomial basis and re-expand it on the target simplex; it
 must agree with every closed-form transfer.  ``split_edge`` produces the
 two children of an edge subdivision, and ``edge_split_forms`` computes
-their coefficients exactly, in any dimension, with one edge transfer each.
+their coefficients exactly, in any dimension, with one edge move each on
+the split edge's own slots; no slot is relabeled.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "transfer_combined",
     "restrict_general",
     "split_edge",
-    "permute_slots",
     "edge_split_forms",
 ]
 
@@ -41,6 +42,13 @@ __all__ = [
 def _check_edge_ratio(rho: Fraction) -> None:
     if not (0 <= rho < 1):
         raise ValueError(f"edge ratio must satisfy 0 <= rho < 1, got {rho}")
+
+
+def _check_edge(n: int, i: int, j: int) -> None:
+    if not (0 <= i <= n and 0 <= j <= n):
+        raise ValueError(f"edge ({i}, {j}) out of range for dimension {n}")
+    if i == j:
+        raise ValueError("edge endpoints must differ")
 
 
 def _check_vertex_weights(beta: tuple[Fraction, ...]) -> None:
@@ -70,19 +78,27 @@ def _combine(points: Sequence[tuple[Fraction, ...]], weights: Sequence[Fraction]
     )
 
 
-def transfer_edge_v2(form: BernsteinForm, rho) -> BernsteinForm:
-    """Move the last vertex vn to wn = rho*v0 + (1-rho)*vn, rho in [0, 1).
+def transfer_edge_v2(
+    form: BernsteinForm, rho, i: int = 0, j: int | None = None
+) -> BernsteinForm:
+    """Move v_j to w = rho*v_i + (1-rho)*v_j, rho in [0, 1).
 
-    Works on any n-simplex and leaves the middle slots untouched:
-    b~_g = sum_{k=0}^{gn} C(gn, gn-k) rho^(gn-k) (1-rho)^k b_(g0+gn-k, g1..g(n-1), k)
+    Works on any ordered slot pair (i, j) of any n-simplex; j defaults to
+    n, so the default pair (0, n) is the paper's lemma.  The other slots
+    are untouched:
+    b~_g = sum_{k=0}^{g_j} C(g_j, k) rho^(g_j-k) (1-rho)^k b_s,
+    where s equals g except s_i = g_i + g_j - k and s_j = k.
     """
     rho = as_rational(rho)
     _check_edge_ratio(rho)
     vertices = form.simplex.vertices
     n = len(vertices) - 1
-    wn = _combine((vertices[0], vertices[n]), (rho, 1 - rho))
+    if j is None:
+        j = n
+    _check_edge(n, i, j)
+    w = _combine((vertices[i], vertices[j]), (rho, 1 - rho))
     d = form.degree
-    # weights[m][k] = C(m, m-k) rho^(m-k) (1-rho)^k, built once for every index
+    # weights[m][k] = C(m, k) rho^(m-k) (1-rho)^k, built once for every index
     weights = [
         [comb(m, k) * rho ** (m - k) * (1 - rho) ** k for k in range(m + 1)]
         for m in range(d + 1)
@@ -90,16 +106,18 @@ def transfer_edge_v2(form: BernsteinForm, rho) -> BernsteinForm:
     coeffs = form.coeffs
     out: dict[tuple[int, ...], Fraction] = {}
     for gamma in vectors_with_sum(n + 1, d):
-        gn, middle = gamma[n], gamma[1:n]
-        row = weights[gn]
+        gi, gj = gamma[i], gamma[j]
+        sigma = list(gamma)
+        row = weights[gj]
         total = Fraction(0)
-        for k in range(gn + 1):
-            b = coeffs.get((gamma[0] + gn - k, *middle, k))
+        for k in range(gj + 1):
+            sigma[i], sigma[j] = gi + gj - k, k
+            b = coeffs.get(tuple(sigma))
             if b:
                 total += row[k] * b
         if total:
             out[gamma] = total
-    new_simplex = form.simplex.replace_vertex(n, wn)
+    new_simplex = form.simplex.replace_vertex(j, w)
     return BernsteinForm(barycentric_system(new_simplex), d, out)
 
 
@@ -198,11 +216,7 @@ def split_edge(simplex: Simplex, i: int, j: int, theta) -> tuple[Simplex, Simple
     slot.  Their union is the original simplex and their interiors are
     disjoint.
     """
-    n = simplex.dimension
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError(f"edge ({i}, {j}) out of range for dimension {n}")
-    if i == j:
-        raise ValueError("edge endpoints must differ")
+    _check_edge(simplex.dimension, i, j)
     theta = as_rational(theta)
     if not (0 < theta < 1):
         raise ValueError(f"theta must satisfy 0 < theta < 1, got {theta}")
@@ -211,41 +225,17 @@ def split_edge(simplex: Simplex, i: int, j: int, theta) -> tuple[Simplex, Simple
     return simplex.replace_vertex(j, w), simplex.replace_vertex(i, w)
 
 
-def permute_slots(form: BernsteinForm, order: Sequence[int]) -> BernsteinForm:
-    """The same polynomial on the relabeled simplex whose slot t is old slot order[t]."""
-    slots = form.simplex.dimension + 1
-    order = tuple(order)
-    if sorted(order) != list(range(slots)):
-        raise ValueError(f"order must be a permutation of 0..{slots - 1}, got {order}")
-    new_simplex = Simplex(tuple(form.simplex.vertices[o] for o in order))
-    out = {
-        tuple(alpha[o] for o in order): b for alpha, b in form.coeffs.items()
-    }
-    return BernsteinForm(barycentric_system(new_simplex), form.degree, out)
-
-
 def edge_split_forms(
     form: BernsteinForm, i: int, j: int, theta
 ) -> tuple[BernsteinForm, BernsteinForm]:
     """Exact Bernstein forms of the two ``split_edge`` children, in any dimension.
 
-    Replacing an endpoint of the split edge with a point of that edge is
-    the edge move after relabeling the slots as (anchor, the other slots in
-    order, replaced), so each child needs only one closed-form transfer
-    instead of a full change of basis.
+    Each child replaces one endpoint of the split edge with the split
+    point w = (1-theta)*v_i + theta*v_j, which is one edge move on the
+    edge's own slots: w sits at rho = 1-theta seen from v_i and at
+    rho = theta seen from v_j.  No slot is relabeled and no full change of
+    basis is needed.
     """
-    lower, upper = split_edge(form.simplex, i, j, theta)
+    split_edge(form.simplex, i, j, theta)  # validates (i, j, theta) only
     theta = as_rational(theta)
-    slots = form.simplex.dimension + 1
-
-    def child(anchor: int, replaced: int, rho: Fraction, simplex: Simplex):
-        rest = [t for t in range(slots) if t not in (anchor, replaced)]
-        order = (anchor, *rest, replaced)
-        inverse = tuple(order.index(t) for t in range(slots))
-        moved = transfer_edge_v2(permute_slots(form, order), rho)
-        out = {tuple(g[o] for o in inverse): b for g, b in moved.coeffs.items()}
-        return BernsteinForm(barycentric_system(simplex), form.degree, out)
-
-    # w = (1-theta)*v_i + theta*v_j; as a point of the v_i-v_j edge seen
-    # from anchor v_i it sits at rho = 1-theta, seen from v_j at rho = theta
-    return child(i, j, 1 - theta, lower), child(j, i, theta, upper)
+    return transfer_edge_v2(form, 1 - theta, i, j), transfer_edge_v2(form, theta, j, i)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import berncert.simplices
 from berncert import (
     BernsteinForm,
     CertifyConfig,
@@ -208,8 +209,6 @@ def test_three_variable_search_uses_exact_child_forms():
 
 
 def test_search_solves_barycentric_coordinates_only_for_the_root(monkeypatch):
-    import berncert.simplices
-
     calls = []
     invert = berncert.simplices.invert
     monkeypatch.setattr(

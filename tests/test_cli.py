@@ -146,6 +146,10 @@ def test_certify_positive_target_reports_a_zero_coefficient(capsys):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (1, "")
     assert "status: Exhausted" in out
+    assert (
+        "frontier: 1 leaf/leaves short of the target (0 indeterminate, 1 nonnegative)"
+        in out.splitlines()
+    )
     assert "b(1, 1) = 0 (0 negative)" in out
     code, out, err = run(capsys, *argv, "--json")
     assert (code, err) == (1, "")

@@ -13,7 +13,9 @@ from berncert import (
     counterexample_polynomial,
     degree_elevate,
     family_simplex,
+    format_polynomial,
     is_positive_definite,
+    parse_polynomial,
     persistence_value,
     render_report,
     reproduce_report,
@@ -218,8 +220,6 @@ def test_render_report_is_a_table():
 
 
 def test_counterexample_text_round_trip():
-    from berncert import format_polynomial, parse_polynomial
-
     p = counterexample_polynomial()
     assert parse_polynomial(format_polynomial(p), 2) == p
     assert parse_polynomial(COUNTEREXAMPLE_TEXT, 2) == p

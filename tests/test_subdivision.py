@@ -6,10 +6,10 @@ import pytest
 from berncert import (
     Simplex,
     barycentric_system,
+    counterexample_polynomial,
     edge_split_forms,
     from_bernstein,
     parse_polynomial,
-    permute_slots,
     restrict_general,
     split_edge,
     standard_simplex,
@@ -35,17 +35,23 @@ def _form_on(rng, p, n=2, extra=0):
 def test_transfer_edge_matches_general_reexpansion():
     rng = random.Random(1001)
     for n, rounds, max_degree in ((2, 8, 4), (1, 4, 4), (3, 3, 3), (4, 2, 2)):
+        # the default call (moving vn toward v0), then every ordered slot pair
+        pairs = [()] + [(i, j) for i in range(n + 1) for j in range(n + 1) if i != j]
         for _ in range(rounds):
             p = rand_polynomial(rng, num_vars=n, max_degree=max_degree)
             form = _form_on(rng, p, n=n)
-            for _ in range(3):
+            vertices = form.simplex.vertices
+            for pair in pairs:
                 rho = rand_edge_ratio(rng)
-                moved = transfer_edge_v2(form, rho)
-                v0, vn = form.simplex.vertices[0], form.simplex.vertices[n]
-                wn = tuple(rho * a + (1 - rho) * b for a, b in zip(v0, vn))
-                assert moved.simplex.vertices == form.simplex.vertices[:n] + (wn,)
+                moved = transfer_edge_v2(form, rho, *pair)
+                i, j = pair or (0, n)
+                vi, vj = vertices[i], vertices[j]
+                w = tuple(rho * a + (1 - rho) * b for a, b in zip(vi, vj))
+                assert moved.simplex.vertices == vertices[:j] + (w,) + vertices[j + 1 :]
                 assert moved == restrict_general(form, moved.simplex)
                 assert from_bernstein(moved) == p
+                if not pair:
+                    assert moved == transfer_edge_v2(form, rho, 0, n)
 
 
 def test_transfer_edge_rho_zero_is_identity():
@@ -62,6 +68,10 @@ def test_transfer_edge_rejects_bad_rho():
         transfer_edge_v2(form, Fraction(1))
     with pytest.raises(ValueError):
         transfer_edge_v2(form, Fraction(-1, 2))
+    half = Fraction(1, 2)
+    for i, j in ((1, 1), (0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            transfer_edge_v2(form, half, i, j)
 
 
 def test_transfer_vertex_matches_general_reexpansion():
@@ -146,20 +156,6 @@ def test_split_edge_validation():
         split_edge(s, 0, 1, Fraction(1))
 
 
-def test_permute_slots_round_trip():
-    rng = random.Random(1010)
-    p = rand_polynomial(rng, max_degree=3)
-    form = _form_on(rng, p)
-    order = (2, 0, 1)
-    permuted = permute_slots(form, order)
-    assert permuted.simplex.vertices == tuple(
-        form.simplex.vertices[k] for k in order
-    )
-    assert from_bernstein(permuted) == p
-    inverse = tuple(order.index(t) for t in range(3))
-    assert permute_slots(permuted, inverse) == form
-
-
 def test_edge_split_forms_match_general_reexpansion():
     rng = random.Random(1011)
     cases = []
@@ -207,8 +203,6 @@ def test_split_children_agree_on_shared_face():
 
 
 def test_counterexample_persistence_spot_values():
-    from berncert import counterexample_polynomial
-
     form = to_bernstein(
         counterexample_polynomial(), barycentric_system(standard_simplex(2)), 4
     )
