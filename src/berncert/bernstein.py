@@ -62,6 +62,23 @@ class DegreeTooLowError(ValueError):
         self.requested = requested
 
 
+def _multi_index(index: Iterable[int], slots: int, degree: int) -> tuple[int, ...]:
+    """``index`` as a tuple of ``slots`` nonnegative ints summing to ``degree``.
+
+    Raises ValueError otherwise: a bool, 1.0 or 3/2 entry is never truncated.
+    """
+    index = tuple(index)
+    if (
+        len(index) != slots
+        or any(type(a) is not int or a < 0 for a in index)
+        or sum(index) != degree
+    ):
+        raise ValueError(
+            f"bad multi-index {index}: need {slots} nonnegative ints summing to {degree}"
+        )
+    return index
+
+
 class BernsteinForm:
     """Coefficients of a polynomial in the degree-d Bernstein basis of a simplex.
 
@@ -78,11 +95,7 @@ class BernsteinForm:
         slots = system.simplex.dimension + 1
         canon: dict[tuple[int, ...], Fraction] = {}
         for index, value in coeffs.items():
-            index = tuple(int(a) for a in index)
-            if len(index) != slots or any(a < 0 for a in index) or sum(index) != degree:
-                raise ValueError(
-                    f"bad multi-index {index}: need {slots} nonnegative entries summing to {degree}"
-                )
+            index = _multi_index(index, slots, degree)
             v = as_rational(value)
             if v:
                 canon[index] = v
@@ -98,12 +111,7 @@ class BernsteinForm:
         return self.system.simplex
 
     def coefficient(self, index: Iterable[int]) -> Fraction:
-        index = tuple(int(a) for a in index)
-        slots = self.simplex.dimension + 1
-        if len(index) != slots or any(a < 0 for a in index) or sum(index) != self.degree:
-            raise ValueError(
-                f"bad multi-index {index}: need {slots} nonnegative entries summing to {self.degree}"
-            )
+        index = _multi_index(index, self.simplex.dimension + 1, self.degree)
         return self.coeffs.get(index, Fraction(0))
 
     def indices(self) -> Iterator[tuple[int, ...]]:
@@ -181,12 +189,7 @@ def bernstein_basis_polynomial(
     system: BarycentricSystem, degree: int, alpha: Iterable[int]
 ) -> Polynomial:
     """B_alpha = multinomial(degree, alpha) * lambda^alpha as a Polynomial."""
-    alpha = tuple(int(a) for a in alpha)
-    n = system.simplex.dimension
-    if len(alpha) != n + 1 or any(a < 0 for a in alpha) or sum(alpha) != degree:
-        raise ValueError(
-            f"bad multi-index {alpha}: need {n + 1} nonnegative entries summing to {degree}"
-        )
+    alpha = _multi_index(alpha, system.simplex.dimension + 1, degree)
     return _basis(system, degree, (alpha,))[alpha]
 
 

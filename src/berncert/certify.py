@@ -6,10 +6,11 @@ classification of its coefficients.  A node whose classification already
 meets the target becomes a certified leaf; otherwise the strategy either
 splits an edge (children partition the node's simplex) or elevates the
 degree (single child, same simplex) until the depth/degree budget runs
-out.  Split children get their forms from the closed-form edge move
-(``edge_split_forms``) in every dimension.  The tree is a checkable proof
-object: ``verify_tree`` re-derives every leaf from the root polynomial
-with ``to_bernstein`` and validates the partition structure.
+out.  One rule, ``_derive``, turns a node's form and its split record
+into the child forms: the closed-form edge move (``edge_split_forms``)
+in every dimension, or ``degree_elevate``.  The tree is a checkable
+proof object: ``verify_tree`` replays every record with that same rule,
+and re-derives every leaf from the root polynomial with ``to_bernstein``.
 
 Everything is deterministic: same input, same tree, same serialization.
 """
@@ -32,7 +33,7 @@ from .bernstein import (
 )
 from .polynomials import Polynomial, grlex_key
 from .simplices import Simplex, barycentric_system
-from .subdivision import edge_split_forms, split_edge
+from .subdivision import edge_split_forms
 
 __all__ = [
     "Strategy",
@@ -126,7 +127,7 @@ def walk(tree: CertificateTree) -> Iterator[tuple[tuple[int, ...], CertificateTr
 
 
 class MalformedTreeError(ValueError):
-    """Tree structure is inconsistent (children do not partition the parent)."""
+    """Tree structure is inconsistent (children do not match the split record)."""
 
 
 def _edge_lengths(simplex: Simplex) -> list[tuple[Fraction, int, int]]:
@@ -180,10 +181,53 @@ def certify(p: Polynomial, simplex: Simplex, config: CertifyConfig) -> Certifica
             f"max_degree {max_degree} is below the polynomial degree {start_degree}"
         )
     root_form = to_bernstein(p, barycentric_system(simplex), start_degree)
-    return _grow(root_form, 0, config, max_degree, at_root=True)
+    return _grow(root_form, 0, config, max_degree)
 
 
 _HALF = Fraction(1, 2)
+
+
+def _derive(
+    form: BernsteinForm, split: EdgeSplit | Elevation | None
+) -> tuple[BernsteinForm, ...]:
+    """The child forms a split record gives: the one rule for search and checker.
+
+    No record (a leaf) gives no children.  Raises ValueError for a record
+    that does not apply to the form (a bad edge or ratio, or an elevation
+    of fewer than one step).
+    """
+    if split is None:
+        return ()
+    if isinstance(split, Elevation):
+        return (degree_elevate(form, split.steps),)
+    if isinstance(split, EdgeSplit):
+        return edge_split_forms(form, split.i, split.j, split.theta)
+    raise ValueError(f"unknown split record: {split!r}")
+
+
+def _step(
+    form: BernsteinForm,
+    status: CertStatus,
+    depth: int,
+    config: CertifyConfig,
+    max_degree: int,
+) -> EdgeSplit | Elevation | None:
+    """The strategy's record for this node, or None when it stays a leaf."""
+    if status_meets(status, config.target):
+        return None
+    strategy = config.strategy
+    if strategy is Strategy.ELEVATION_ONLY:
+        return Elevation(1) if form.degree < max_degree else None
+    if strategy is Strategy.ELEVATION_THEN_SPLIT and form.degree < max_degree:
+        # true only at the root: its one elevation leaves every descendant at max_degree
+        return Elevation(max_degree - form.degree)
+    if depth >= config.max_depth:
+        return None
+    if strategy is Strategy.EDGE_BISECTION:
+        i, j = _longest_edge(form.system.simplex)
+    else:  # WITNESS_GUIDED_SPLIT, and ELEVATION_THEN_SPLIT after its elevation
+        i, j = _witness_edge(form, status)
+    return EdgeSplit(i, j, _HALF)
 
 
 def _grow(
@@ -191,40 +235,16 @@ def _grow(
     depth: int,
     config: CertifyConfig,
     max_degree: int,
-    at_root: bool,
 ) -> CertificateTree:
     status = cert_status(form)
-    if status_meets(status, config.target):
-        return CertificateTree(form, status)
-
-    strategy = config.strategy
-    if strategy is Strategy.ELEVATION_ONLY:
-        if form.degree < max_degree:
-            child = _grow(degree_elevate(form, 1), depth, config, max_degree, False)
-            return CertificateTree(form, status, Elevation(1), (child,))
-        return CertificateTree(form, status)
-
-    if (
-        strategy is Strategy.ELEVATION_THEN_SPLIT
-        and at_root
-        and form.degree < max_degree
-    ):
-        steps = max_degree - form.degree
-        child = _grow(degree_elevate(form, steps), depth, config, max_degree, False)
-        return CertificateTree(form, status, Elevation(steps), (child,))
-
-    if depth >= config.max_depth:
-        return CertificateTree(form, status)
-
-    if strategy is Strategy.EDGE_BISECTION:
-        i, j = _longest_edge(form.system.simplex)
-    else:  # WITNESS_GUIDED_SPLIT, and ELEVATION_THEN_SPLIT after its elevation
-        i, j = _witness_edge(form, status)
+    split = _step(form, status, depth, config, max_degree)
+    if isinstance(split, EdgeSplit):  # elevation does not consume depth
+        depth += 1
     children = tuple(
-        _grow(f, depth + 1, config, max_degree, False)
-        for f in edge_split_forms(form, i, j, _HALF)
+        _grow(child, depth, config, max_degree)
+        for child in _derive(form, split)
     )
-    return CertificateTree(form, status, EdgeSplit(i, j, _HALF), children)
+    return CertificateTree(form, status, split, children)
 
 
 def is_certified(tree: CertificateTree, target: Target) -> bool:
@@ -242,68 +262,34 @@ def failing_leaves(
     ]
 
 
-def _check_partition(node: CertificateTree) -> None:
-    if node.split is None:
-        if node.children:
-            raise MalformedTreeError("children without a split record")
-        return
-    if not node.children:
-        raise MalformedTreeError("split record without children")
-    if isinstance(node.split, Elevation):
-        if len(node.children) != 1:
-            raise MalformedTreeError("elevation nodes must have exactly one child")
-        child = node.children[0]
-        if child.simplex != node.simplex:
-            raise MalformedTreeError("elevation child must keep the same simplex")
-        if child.form.degree != node.form.degree + node.split.steps:
-            raise MalformedTreeError("elevation child has the wrong degree")
-        return
-    if len(node.children) != 2:
-        raise MalformedTreeError("edge splits must have exactly two children")
-    try:
-        expected = split_edge(
-            node.simplex, node.split.i, node.split.j, node.split.theta
-        )
-    except ValueError as exc:
-        raise MalformedTreeError(f"invalid edge-split record: {exc}") from exc
-    parent_volume = abs(node.simplex.determinant)
-    child_volume = Fraction(0)
-    for child, target in zip(node.children, expected):
-        if child.form.degree != node.form.degree:
-            raise MalformedTreeError("split children must keep the degree")
-        if child.simplex != target:
-            raise MalformedTreeError(
-                "children do not match the recorded edge split"
-            )
-        for vertex in child.simplex.vertices:
-            if any(c < 0 for c in node.form.system.at(vertex)):
-                raise MalformedTreeError(
-                    "child vertex lies outside the parent simplex"
-                )
-        child_volume += abs(child.simplex.determinant)
-    if child_volume != parent_volume:
-        raise MalformedTreeError("children volumes do not add up to the parent's")
-
-
 def verify_tree(tree: CertificateTree) -> bool:
     """Re-check the proof object from scratch.
 
-    Validates the partition structure (raising MalformedTreeError when it
-    is broken), confirms every node's status against its stored
-    coefficients, confirms every node still represents the root
-    polynomial, and independently recomputes every leaf's form from the
-    root polynomial with ``to_bernstein`` (a linear solve, not the
-    search's edge move).  Returns False on any value mismatch.
+    Confirms every node's status against its stored coefficients, replays
+    every split record on its node's form (the search's own ``_derive``)
+    and compares the result with the stored children, and independently
+    recomputes every leaf's form from the root polynomial with
+    ``to_bernstein`` (a linear solve, not the search's edge move), so a
+    faulty edge move cannot certify a leaf.  Raises MalformedTreeError
+    when a record is invalid or the children's count, simplices or
+    degrees differ from the replay; returns False on any value mismatch.
     """
     root_poly = from_bernstein(tree.form)
     for _, node in walk(tree):
         if cert_status(node.form) != node.status:
             return False
-        if node.children:
-            _check_partition(node)
-            if node is not tree and from_bernstein(node.form) != root_poly:
+        try:
+            replayed = _derive(node.form, node.split)
+        except ValueError as exc:
+            raise MalformedTreeError(f"invalid split record: {exc}") from exc
+        if len(node.children) != len(replayed):
+            raise MalformedTreeError(f"{node.split!r} needs {len(replayed)} children")
+        for child, form in zip(node.children, replayed):
+            if child.simplex != form.simplex or child.form.degree != form.degree:
+                raise MalformedTreeError("a child does not match its split record")
+            if child.form.coeffs != form.coeffs:
                 return False
-        else:
+        if not node.children:
             expected = to_bernstein(root_poly, node.form.system, node.form.degree)
             if expected.coeffs != node.form.coeffs:
                 return False

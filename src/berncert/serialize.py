@@ -53,6 +53,13 @@ def rational_from_json(value) -> Fraction:
     raise ValueError(f"not a rational value: {value!r}")
 
 
+def _int_from_json(value) -> int:
+    """A JSON integer as is; anything else (1.5, 1.0, "1", true) is a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"not an integer: {value!r}")
+    return value
+
+
 def simplex_to_json(simplex: Simplex) -> dict:
     return {
         "vertices": [
@@ -85,10 +92,10 @@ def form_to_json(form: BernsteinForm) -> dict:
 def form_from_json(obj) -> BernsteinForm:
     simplex = simplex_from_json(obj["simplex"])
     coeffs = {
-        tuple(int(k) for k in entry["index"]): rational_from_json(entry["value"])
+        tuple(entry["index"]): rational_from_json(entry["value"])  # checked by the form
         for entry in obj["coefficients"]
     }
-    return BernsteinForm(barycentric_system(simplex), int(obj["degree"]), coeffs)
+    return BernsteinForm(barycentric_system(simplex), _int_from_json(obj["degree"]), coeffs)
 
 
 def status_to_json(status: CertStatus) -> dict:
@@ -101,7 +108,7 @@ def status_to_json(status: CertStatus) -> dict:
 def status_from_json(obj) -> CertStatus:
     return CertStatus(
         CertKind(obj["kind"]),
-        tuple(tuple(int(k) for k in index) for index in obj["negative_indices"]),
+        tuple(tuple(map(_int_from_json, index)) for index in obj["negative_indices"]),
     )
 
 
@@ -124,9 +131,13 @@ def split_from_json(obj):
     if obj is None:
         return None
     if obj["kind"] == "edge":
-        return EdgeSplit(int(obj["i"]), int(obj["j"]), rational_from_json(obj["theta"]))
+        return EdgeSplit(
+            _int_from_json(obj["i"]),
+            _int_from_json(obj["j"]),
+            rational_from_json(obj["theta"]),
+        )
     if obj["kind"] == "elevation":
-        return Elevation(int(obj["steps"]))
+        return Elevation(_int_from_json(obj["steps"]))
     raise ValueError(f"unknown split record: {obj!r}")
 
 

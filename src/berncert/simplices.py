@@ -22,7 +22,6 @@ __all__ = [
     "BarycentricSystem",
     "standard_simplex",
     "barycentric_system",
-    "contains_point",
 ]
 
 
@@ -147,8 +146,3 @@ class BarycentricSystem:
 def barycentric_system(simplex: Simplex) -> BarycentricSystem:
     """The coordinate system of a simplex; nothing is solved until ``coords`` is read."""
     return BarycentricSystem(simplex)
-
-
-def contains_point(simplex: Simplex, point: Sequence) -> bool:
-    """Closed-simplex membership: all barycentric coordinates >= 0."""
-    return all(c >= 0 for c in barycentric_system(simplex).at(point))

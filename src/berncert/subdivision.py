@@ -45,6 +45,8 @@ def _check_edge_ratio(rho: Fraction) -> None:
 
 
 def _check_edge(n: int, i: int, j: int) -> None:
+    if type(i) is not int or type(j) is not int:
+        raise ValueError(f"edge slots must be ints, got ({i!r}, {j!r})")
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError(f"edge ({i}, {j}) out of range for dimension {n}")
     if i == j:

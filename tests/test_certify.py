@@ -15,6 +15,8 @@ from berncert import (
     MalformedTreeError,
     Strategy,
     Target,
+    barycentric_system,
+    cert_status,
     certify,
     counterexample_polynomial,
     enclosure_bound,
@@ -263,10 +265,94 @@ def test_verify_tree_raises_on_malformed_structure():
     with pytest.raises(MalformedTreeError):
         verify_tree(no_split_record)
 
-    # duplicated child: volumes still add up, but the recorded split disagrees
+    # duplicated child: the second does not match the replayed split record
     half_cover = replace(tree, children=(tree.children[0], tree.children[0]))
     with pytest.raises(MalformedTreeError):
         verify_tree(half_cover)
+
+    for bad_edge in (
+        EdgeSplit(1, 2, Fraction(1)),
+        EdgeSplit(1, 1, Fraction(1, 2)),
+        EdgeSplit(Fraction(1), 2, Fraction(1, 2)),
+    ):
+        with pytest.raises(MalformedTreeError):
+            verify_tree(replace(tree, split=bad_edge))
+
+    # elevation records that take no step, or step back to a lower degree
+    chain = certify(
+        parse_polynomial("x1^2 + x2^2 - x1*x2 + 1/10", 2),
+        STD2,
+        CertifyConfig(
+            max_depth=0,
+            max_degree=3,
+            strategy=Strategy.ELEVATION_ONLY,
+            target=Target.POSITIVE,
+        ),
+    )
+    low, high = chain, chain.children[0]
+    no_step = CertificateTree(
+        low.form, low.status, Elevation(0), (CertificateTree(low.form, low.status),)
+    )
+    step_back = CertificateTree(
+        high.form, high.status, Elevation(-1), (CertificateTree(low.form, low.status),)
+    )
+    for bad_elevation in (no_step, step_back):
+        with pytest.raises(MalformedTreeError):
+            verify_tree(bad_elevation)
+
+
+def _internal_child(tree: CertificateTree) -> int:
+    return next(k for k, child in enumerate(tree.children) if child.children)
+
+
+def test_verify_tree_detects_tampered_internal_node():
+    tree = certify(counterexample_polynomial(), STD2, CertifyConfig(max_depth=3))
+    k = _internal_child(tree)
+    victim = tree.children[k]
+    doctored_coeffs = dict(victim.form.coeffs)
+    index = max(doctored_coeffs, key=lambda idx: doctored_coeffs[idx])
+    doctored_coeffs[index] += Fraction(1, 7)
+    doctored = BernsteinForm(victim.form.system, victim.form.degree, doctored_coeffs)
+    assert cert_status(doctored) == victim.status  # only the replay can tell
+    children = list(tree.children)
+    children[k] = replace(victim, form=doctored)
+    assert not verify_tree(replace(tree, children=tuple(children)))
+
+
+def test_verify_tree_raises_on_moved_internal_simplex():
+    tree = certify(counterexample_polynomial(), STD2, CertifyConfig(max_depth=3))
+    k = _internal_child(tree)
+    victim = tree.children[k]
+    nudged = tuple(c + Fraction(1, 64) for c in victim.simplex.vertices[0])
+    moved = BernsteinForm(
+        barycentric_system(victim.simplex.replace_vertex(0, nudged)),
+        victim.form.degree,
+        victim.form.coeffs,
+    )
+    children = list(tree.children)
+    children[k] = replace(victim, form=moved)
+    with pytest.raises(MalformedTreeError):
+        verify_tree(replace(tree, children=tuple(children)))
+
+
+def test_verify_tree_expands_only_the_root(monkeypatch):
+    checker = verify_tree.__globals__  # the names this very copy of verify_tree reads
+    calls = []
+    expand = checker["from_bernstein"]
+    monkeypatch.setitem(
+        checker, "from_bernstein", lambda form: calls.append(form) or expand(form)
+    )
+    for config in (
+        CertifyConfig(max_depth=8),
+        CertifyConfig(
+            max_depth=2, max_degree=6, strategy=Strategy.ELEVATION_THEN_SPLIT
+        ),
+    ):
+        tree = certify(counterexample_polynomial(), STD2, config)
+        assert sum(1 for _, node in walk(tree) if node.children) > 1
+        calls.clear()
+        assert verify_tree(tree)
+        assert calls == [tree.form]
 
 
 def test_certified_leaves_are_sound_by_sampling():

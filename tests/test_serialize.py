@@ -6,6 +6,7 @@ import pytest
 
 from berncert import (
     CertifyConfig,
+    Strategy,
     barycentric_system,
     certify,
     counterexample_polynomial,
@@ -95,3 +96,27 @@ def test_parse_json_exact_floats():
     assert obj["theta"] == Fraction(1, 4)
     assert isinstance(obj["theta"], Fraction)
     assert obj["n"] == 3
+
+
+def test_integer_fields_reject_non_integers():
+    tree = certify(
+        counterexample_polynomial(),
+        standard_simplex(2),
+        CertifyConfig(max_depth=1, max_degree=5, strategy=Strategy.ELEVATION_THEN_SPLIT),
+    )
+    text = canonical_dumps(tree_to_json(tree))
+    assert tree_from_json(parse_json_exact(text)) == tree
+    edits = [
+        ('"i":0,', '"i":0.5,'),  # once read as 0, and the tree still verified
+        ('"j":2,', '"j":2.0,'),
+        ('"i":0,', '"i":false,'),
+        ('"steps":1}', '"steps":1.5}'),
+        ('"steps":1}', '"steps":"1"}'),
+        ('"degree":5,', '"degree":5.0,'),
+        ('"index":[0,0,5]', '"index":[0,0,5.0]'),
+        ('"negative_indices":[[1,', '"negative_indices":[[1.0,'),
+    ]
+    for old, new in edits:
+        assert old in text
+        with pytest.raises(ValueError):
+            tree_from_json(parse_json_exact(text.replace(old, new, 1)))

@@ -8,7 +8,6 @@ from berncert import (
     Polynomial,
     Simplex,
     barycentric_system,
-    contains_point,
     standard_simplex,
 )
 from helpers import rand_point_in, rand_simplex
@@ -87,15 +86,6 @@ def test_barycentric_coordinates_reconstruct_point():
             for k in range(s.dimension)
         )
         assert rebuilt == point
-
-
-def test_contains_point():
-    s = standard_simplex(2)
-    assert contains_point(s, (Fraction(1, 4), Fraction(1, 4)))
-    assert contains_point(s, (0, 0))  # boundary counts
-    assert contains_point(s, (Fraction(1, 2), Fraction(1, 2)))
-    assert not contains_point(s, (Fraction(3, 4), Fraction(3, 4)))
-    assert not contains_point(s, (Fraction(-1, 10), Fraction(1, 2)))
 
 
 def test_simplex_equality_and_hash():

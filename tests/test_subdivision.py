@@ -69,7 +69,7 @@ def test_transfer_edge_rejects_bad_rho():
     with pytest.raises(ValueError):
         transfer_edge_v2(form, Fraction(-1, 2))
     half = Fraction(1, 2)
-    for i, j in ((1, 1), (0, 3), (3, 0), (-1, 2)):
+    for i, j in ((1, 1), (0, 3), (3, 0), (-1, 2), (Fraction(1), 2)):
         with pytest.raises(ValueError):
             transfer_edge_v2(form, half, i, j)
 
