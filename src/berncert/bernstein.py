@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator, Mapping
 
 from . import linalg
@@ -259,17 +260,13 @@ def degree_elevate(form: BernsteinForm, steps: int) -> BernsteinForm:
 
 
 def cert_status(form: BernsteinForm) -> CertStatus:
-    negatives = []
-    has_zero = False
-    for index in form.indices():
-        c = form.coeffs.get(index)
-        if c is None:
-            has_zero = True
-        elif c < 0:
-            negatives.append(index)
+    """Classify by the stored (nonzero) coefficients; an index not stored is a zero."""
+    negatives = sorted(index for index, c in form.coeffs.items() if c < 0)
     if negatives:
         return CertStatus(CertKind.INDETERMINATE, tuple(negatives))
-    return CertStatus(CertKind.NONNEGATIVE if has_zero else CertKind.POSITIVE)
+    if len(form.coeffs) < comb(form.simplex.dimension + form.degree, form.degree):
+        return CertStatus(CertKind.NONNEGATIVE)
+    return CertStatus(CertKind.POSITIVE)
 
 
 def enclosure_bound(form: BernsteinForm) -> tuple[Fraction, Fraction]:

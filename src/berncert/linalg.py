@@ -3,7 +3,8 @@
 Small helper routines for the handful of square systems this package
 solves: barycentric coordinate systems, basis-change systems, and the
 LDL^T pivots used for the positive-definiteness check.  Everything is
-exact; no pivot-size heuristics are needed, only nonzero pivots.
+exact; no pivot-size heuristics are needed, only nonzero pivots.  One
+Gaussian elimination serves the determinant, the solve and the inverse.
 """
 
 from __future__ import annotations
@@ -27,103 +28,100 @@ def _copy(matrix) -> list[list[Fraction]]:
     return rows
 
 
-def determinant(matrix) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    m = _copy(matrix)
-    n = len(m)
+def _eliminate(rows: list[list[Fraction]]) -> int:
+    """Reduce augmented rows [A | B] in place until the square A is upper triangular.
+
+    Entries below the diagonal are left stale.  Zero entries are skipped,
+    since the basis-change matrices are mostly zeros.  Returns the sign
+    of the row swaps, or 0 when A is singular.
+    """
+    n = len(rows)
     sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            sign = -sign
+        top = rows[col]
+        piv = top[col]
+        rest = [c for c in range(col + 1, len(top)) if top[c]]
+        for row in rows[col + 1 :]:
+            if row[col]:
+                f = row[col] / piv
+                for c in rest:
+                    row[c] -= f * top[c]
+    return sign
+
+
+def _back_substitute(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """X with A X = B, for rows [A | B] that ``_eliminate`` made triangular."""
+    n = len(rows)
+    x: list = [None] * n
+    for r in range(n - 1, -1, -1):
+        row = rows[r]
+        piv = row[r]
+        known = [k for k in range(r + 1, n) if row[k]]
+        out = []
+        for c in range(n, len(row)):
+            acc = row[c]
+            for k in known:
+                acc -= row[k] * x[k][c - n]
+            out.append(acc / piv)
+        x[r] = out
+    return x
+
+
+def determinant(matrix) -> Fraction:
+    """Determinant: the signed product of the elimination's pivots."""
+    m = _copy(matrix)
+    det = Fraction(_eliminate(m))
+    for k, row in enumerate(m):
+        det *= row[k]
+    return det
 
 
 def solve(matrix, rhs) -> list[Fraction]:
     """Solve A x = b exactly; raises SingularMatrixError if A is singular."""
     a = _copy(matrix)
     b = [as_rational(v) for v in rhs]
-    n = len(a)
-    if len(b) != n:
+    if len(b) != len(a):
         raise ValueError("rhs length does not match matrix")
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("singular matrix")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-        piv = a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] / piv
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-                b[r] -= f * b[col]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
+    for row, v in zip(a, b):
+        row.append(v)
+    if not _eliminate(a):
+        raise SingularMatrixError("singular matrix")
+    return [x for (x,) in _back_substitute(a)]
 
 
 def invert(matrix) -> list[list[Fraction]]:
-    """Exact inverse via Gauss-Jordan on the augmented matrix."""
+    """Exact inverse: solve A X = I for the identity columns."""
     a = _copy(matrix)
-    n = len(a)
-    aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("singular matrix")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        piv = aug[col][col]
-        aug[col] = [v / piv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    for i, row in enumerate(a):
+        row.extend(Fraction(int(i == j)) for j in range(len(a)))
+    if not _eliminate(a):
+        raise SingularMatrixError("singular matrix")
+    return _back_substitute(a)
 
 
 def ldl_pivots(matrix) -> list[Fraction]:
     """Pivots of the (unpivoted) LDL^T factorization of a symmetric matrix.
 
-    Stops early if a zero pivot blocks elimination, so the returned list
-    may be shorter than the dimension; the matrix is positive definite
-    iff all n pivots exist and are positive.  Raises ValueError for a
-    non-symmetric input.
+    Pivot k is the ratio of the leading minors of orders k+1 and k.  The
+    list stops at the first zero pivot, so it may be shorter than the
+    dimension; the matrix is positive definite iff all n pivots exist and
+    are positive.  Raises ValueError for a non-symmetric input.
     """
     a = _copy(matrix)
-    n = len(a)
-    for i in range(n):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
+    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
     pivots: list[Fraction] = []
-    for k in range(n):
-        d = a[k][k]
-        pivots.append(d)
-        if d == 0:
+    prev = Fraction(1)
+    for k in range(1, len(a) + 1):
+        minor = determinant([row[:k] for row in a[:k]])
+        pivots.append(minor / prev)
+        if not minor:
             break
-        for i in range(k + 1, n):
-            f = a[i][k] / d
-            if f:
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
+        prev = minor
     return pivots

@@ -111,13 +111,13 @@ class Polynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         canon: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in items:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
             if len(exps) != num_vars:
                 raise ValueError(
                     f"exponent vector {exps} has length {len(exps)}, expected {num_vars}"
                 )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+            if any(type(e) is not int or e < 0 for e in exps):
+                raise ValueError(f"exponents must be nonnegative ints, got {exps}")
             c = canon.get(exps, Fraction(0)) + as_rational(coeff)
             if c:
                 canon[exps] = c

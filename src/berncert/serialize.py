@@ -44,13 +44,10 @@ def rational_to_json(value: Fraction):
 
 
 def rational_from_json(value) -> Fraction:
-    if isinstance(value, bool):
+    """An int, Fraction or exact literal string; anything else is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
         raise ValueError(f"not a rational value: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ValueError(f"not a rational value: {value!r}")
+    return as_rational(value)
 
 
 def _int_from_json(value) -> int:

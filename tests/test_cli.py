@@ -77,6 +77,13 @@ def test_exit_code_degenerate_simplex(capsys):
     assert "degenerate" in err
 
 
+def test_exit_code_zero_denominator_in_simplex(capsys):
+    code, out, err = run(capsys, "convert", "x1", "--simplex", '[["1/0"],[1]]')
+    assert code == 2  # not 1, which means Exhausted
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_exit_code_recursion_limit(capsys):
     code, out, err = run(capsys, "certify", "x1 - 1/2", "--max-depth", "1200")
     assert code == 5  # not 1, which means Exhausted

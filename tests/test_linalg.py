@@ -23,6 +23,9 @@ def test_determinant_small():
     assert determinant([[1, 2], [3, 4]]) == -2
     assert determinant([[0, 1], [1, 0]]) == -1
     assert determinant([[1, 2], [2, 4]]) == 0
+    # singular, with a zero in the first pivot position
+    assert determinant([[0, 1, 2], [1, 2, 3], [0, 2, 4]]) == 0
+    assert determinant([[0, 1, 1], [1, 0, 0], [1, 1, 1]]) == 0
 
 
 def test_determinant_triangular_product_of_diagonal():
@@ -55,6 +58,12 @@ def test_solve_singular_raises():
         solve([[1, 2], [2, 4]], [1, 1])
 
 
+def test_solve_rejects_wrong_rhs_length():
+    for rhs in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            solve([[1, 2], [3, 4]], rhs)
+
+
 def test_invert_gives_identity():
     rng = random.Random(23)
     for _ in range(10):
@@ -79,6 +88,15 @@ def test_ldl_pivots_identity_and_diag():
     assert ldl_pivots([[2, 0], [0, Fraction(-1, 3)]]) == [2, Fraction(-1, 3)]
 
 
+def test_ldl_pivots_stop_at_first_zero_pivot():
+    assert ldl_pivots([[0, 1], [1, 0]]) == [0]
+    assert ldl_pivots([[1, 1], [1, 1]]) == [1, 0]
+    # second leading minor is 0 although the matrix is not singular
+    m = [[1, 1, 2], [1, 1, 3], [2, 3, 1]]
+    assert determinant(m) != 0
+    assert ldl_pivots(m) == [1, 0]
+
+
 def test_ldl_pivots_requires_symmetry():
     with pytest.raises(ValueError):
         ldl_pivots([[1, 2], [3, 1]])
@@ -100,5 +118,10 @@ def test_ldl_pivots_match_leading_minor_ratios():
 
 
 def test_non_square_rejected():
+    m = [[1, 2, 3], [4, 5, 6]]
     with pytest.raises(ValueError):
-        determinant([[1, 2, 3], [4, 5, 6]])
+        determinant(m)
+    with pytest.raises(ValueError):
+        solve(m, [1, 2])
+    with pytest.raises(ValueError):
+        invert(m)

@@ -85,8 +85,10 @@ def test_constructor_canonicalizes():
     assert p.coefficient((0, 1)) == 2
     with pytest.raises(ValueError):
         Polynomial(2, {(1,): Fraction(1)})
-    with pytest.raises(ValueError):
-        Polynomial(1, {(-1,): Fraction(1)})
+    # exponents are nonnegative ints: none is truncated or coerced
+    for exps in [(-1,), ("2",), (Fraction(3, 2),), (Fraction(2),), (2.0,), (True,)]:
+        with pytest.raises(ValueError):
+            Polynomial(1, {exps: Fraction(1)})
 
 
 def test_polynomial_is_immutable():

@@ -36,8 +36,9 @@ def test_rational_round_trip():
     assert rational_from_json("-1/2") == Fraction(-1, 2)
     with pytest.raises(ValueError):
         rational_from_json(True)
-    with pytest.raises(ValueError):
-        rational_from_json(0.5)
+    for bad in (0.5, "1/0", "x", None, [1]):
+        with pytest.raises(ValueError):
+            rational_from_json(bad)
 
 
 def test_simplex_round_trip():
@@ -120,3 +121,14 @@ def test_integer_fields_reject_non_integers():
         assert old in text
         with pytest.raises(ValueError):
             tree_from_json(parse_json_exact(text.replace(old, new, 1)))
+
+
+def test_zero_denominator_is_a_value_error():
+    tree = certify(
+        counterexample_polynomial(), standard_simplex(2), CertifyConfig(max_depth=1)
+    )
+    text = canonical_dumps(tree_to_json(tree))
+    assert '"theta":"1/2"' in text
+    text = text.replace('"theta":"1/2"', '"theta":"1/0"', 1)
+    with pytest.raises(ValueError):
+        tree_from_json(parse_json_exact(text))
