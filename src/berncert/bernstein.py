@@ -91,7 +91,7 @@ class BernsteinForm:
     __slots__ = ("system", "degree", "coeffs")
 
     def __init__(self, system: BarycentricSystem, degree: int, coeffs: Mapping):
-        if not isinstance(degree, int) or degree < 0:
+        if type(degree) is not int or degree < 0:
             raise ValueError(f"degree must be a nonnegative int, got {degree!r}")
         slots = system.simplex.dimension + 1
         canon: dict[tuple[int, ...], Fraction] = {}
@@ -204,7 +204,7 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
     n = system.simplex.dimension
     if p.num_vars != n:
         raise ValueError(f"variable count mismatch: {p.num_vars} != {n}")
-    if not isinstance(degree, int) or degree < 0:
+    if type(degree) is not int or degree < 0:
         raise ValueError(f"degree must be a nonnegative int, got {degree!r}")
     if p.degree > degree:
         raise DegreeTooLowError(required=p.degree, requested=degree)
@@ -238,7 +238,7 @@ def degree_elevate(form: BernsteinForm, steps: int) -> BernsteinForm:
     b'_gamma = sum_i (gamma_i / (d+1)) * b_{gamma - e_i},
     applied ``steps`` times.  The represented polynomial is unchanged.
     """
-    if not isinstance(steps, int) or steps < 1:
+    if type(steps) is not int or steps < 1:
         raise ValueError(f"elevation steps must be a positive int, got {steps!r}")
     slots = form.simplex.dimension + 1
     coeffs = form.coeffs

@@ -26,6 +26,7 @@ from .bernstein import (
     BernsteinForm,
     CertKind,
     CertStatus,
+    DegreeTooLowError,
     cert_status,
     degree_elevate,
     from_bernstein,
@@ -145,14 +146,19 @@ def _longest_edge(simplex: Simplex) -> tuple[int, int]:
     return best[1], best[2]
 
 
+def _most_negative(form: BernsteinForm, status: CertStatus) -> tuple[int, ...]:
+    """Index of the most negative coefficient, graded-lex first on ties."""
+    return min(
+        status.negative_indices, key=lambda idx: (form.coeffs[idx], grlex_key(idx))
+    )
+
+
 def _witness_edge(form: BernsteinForm, status: CertStatus) -> tuple[int, int]:
     """Edge spanned by the two heaviest axes of the most negative coefficient's index."""
     if not status.negative_indices:
         # nonnegative node under a positive target: no witness to follow
         return _longest_edge(form.system.simplex)
-    witness = min(
-        status.negative_indices, key=lambda idx: (form.coeffs[idx], grlex_key(idx))
-    )
+    witness = _most_negative(form, status)
     axes = sorted(range(len(witness)), key=lambda a: (-witness[a], a))
     positive = [a for a in axes if witness[a] > 0]
     if len(positive) < 2:
@@ -177,9 +183,7 @@ def certify(p: Polynomial, simplex: Simplex, config: CertifyConfig) -> Certifica
     start_degree = p.degree
     max_degree = config.max_degree if config.max_degree is not None else start_degree
     if max_degree < start_degree:
-        raise ValueError(
-            f"max_degree {max_degree} is below the polynomial degree {start_degree}"
-        )
+        raise DegreeTooLowError(required=start_degree, requested=max_degree)
     root_form = to_bernstein(p, barycentric_system(simplex), start_degree)
     return _grow(root_form, 0, config, max_degree)
 

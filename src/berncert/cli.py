@@ -25,13 +25,14 @@ from .certify import (
     CertifyConfig,
     Strategy,
     Target,
+    _most_negative,
     certify,
     failing_leaves,
     is_certified,
     walk,
 )
 from .counterexample import render_report, reproduce_report
-from .polynomials import Polynomial, PolynomialParseError, parse_polynomial
+from .polynomials import Polynomial, parse_polynomial
 from .serialize import (
     canonical_dumps,
     digest,
@@ -50,19 +51,10 @@ from .subdivision import restrict_general
 
 __all__ = ["main"]
 
-_STRATEGIES = {
-    "bisect": Strategy.EDGE_BISECTION,
-    "witness": Strategy.WITNESS_GUIDED_SPLIT,
-    "elevate": Strategy.ELEVATION_ONLY,
-    "elevate-split": Strategy.ELEVATION_THEN_SPLIT,
-}
+_TARGET_ALIASES = {"pos": Target.POSITIVE.value, "nonneg": Target.NONNEGATIVE.value}
 
-_TARGETS = {
-    "positive": Target.POSITIVE,
-    "pos": Target.POSITIVE,
-    "nonnegative": Target.NONNEGATIVE,
-    "nonneg": Target.NONNEGATIVE,
-}
+# exit codes of the errors that are not plain bad input (2)
+_EXIT_CODES = {DegreeTooLowError: 3, DegenerateSimplexError: 4}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,13 +134,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_certify.add_argument(
         "--strategy",
-        choices=sorted(_STRATEGIES),
+        choices=sorted(s.value for s in Strategy),
         default="witness",
         help="refinement strategy (default witness)",
     )
     p_certify.add_argument(
         "--target",
-        choices=sorted(_TARGETS),
+        choices=sorted([t.value for t in Target] + list(_TARGET_ALIASES)),
         default="nonnegative",
         help="certificate target (default nonnegative)",
     )
@@ -166,6 +158,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _parse_simplex_spec(spec: str) -> Simplex:
@@ -246,8 +241,8 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
     config = CertifyConfig(
         max_depth=args.max_depth,
         max_degree=args.max_degree,
-        strategy=_STRATEGIES[args.strategy],
-        target=_TARGETS[args.target],
+        strategy=Strategy(args.strategy),
+        target=Target(_TARGET_ALIASES.get(args.target, args.target)),
     )
     tree = certify(p, simplex, config)
     certified = is_certified(tree, config.target)
@@ -271,9 +266,11 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
         "tree": tree_to_json(tree),
     }
 
-    nodes = sum(1 for _ in walk(tree))
-    leaves = sum(1 for _ in tree.leaves())
-    height = max(len(path) for path, _ in walk(tree))
+    nodes = leaves = height = 0
+    for path, node in walk(tree):
+        nodes += 1
+        leaves += not node.children
+        height = max(height, len(path))
     lines = [
         f"status: {'Certified' if certified else 'Exhausted'}",
         f"target: {config.target.value}",
@@ -289,9 +286,7 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
         )
         for path, leaf in frontier[:10]:
             if leaf.status.negative_indices:
-                worst = min(
-                    leaf.status.negative_indices, key=lambda idx: leaf.form.coeffs[idx]
-                )
+                worst = _most_negative(leaf.form, leaf.status)
             else:  # nonnegative but not positive: show its first zero coefficient
                 worst = next(i for i in leaf.form.indices() if i not in leaf.form.coeffs)
             route = ".".join(str(step) for step in path) or "root"
@@ -338,26 +333,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         payload, text, code = _COMMANDS[args.command](args)
         if args.manifest is not None:
             _write_manifest(args, payload)
-    except PolynomialParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegreeTooLowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateSimplexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except RecursionError:
         print("error: search nested deeper than the recursion limit", file=sys.stderr)
         return 5
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(
+            (status for kind, status in _EXIT_CODES.items() if isinstance(exc, kind)), 2
+        )
     if args.json:
         sys.stdout.write(canonical_dumps(payload) + "\n")
     else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bernstein import cert_status, to_bernstein
+from .bernstein import BernsteinForm, cert_status, to_bernstein
 from .certify import (
     CertifyConfig,
     EdgeSplit,
@@ -32,7 +32,12 @@ from .certify import (
 from .linalg import ldl_pivots
 from .polynomials import Polynomial, as_rational, parse_polynomial
 from .simplices import Simplex, barycentric_system, standard_simplex
-from .subdivision import restrict_general, transfer_combined
+from .subdivision import (
+    _check_edge_ratio,
+    _check_vertex_weights,
+    restrict_general,
+    transfer_combined,
+)
 
 __all__ = [
     "COUNTEREXAMPLE_TEXT",
@@ -148,15 +153,12 @@ def persistence_value(beta1, rho) -> Fraction:
 
     beta1 is the weight the moved middle vertex keeps on the original v1;
     rho slides the third vertex toward v0 along the v0-v2 edge.  The value
-    is strictly negative for every admissible pair, which is the whole
-    impossibility argument in one line.
+    is strictly negative for every admissible pair (0 < beta1 <= 1,
+    0 <= rho < 1), which is the whole impossibility argument in one line.
     """
-    beta1 = as_rational(beta1)
+    _, beta1, _ = vertex_weights_for(beta1)  # the one check of 0 < beta1 <= 1
     rho = as_rational(rho)
-    if beta1 <= 0:
-        raise ValueError("beta1 must be > 0")
-    if not 0 <= rho < 1:
-        raise ValueError("rho must lie in [0, 1)")
+    _check_edge_ratio(rho)
     return -beta1 * (1 - rho) ** 2
 
 
@@ -175,14 +177,11 @@ def vertex_weights_for(beta1) -> tuple[Fraction, Fraction, Fraction]:
 
 def family_simplex(beta, rho) -> Simplex:
     """The corner-preserving simplex (v0, beta-combination, (0, 1-rho))."""
-    b0, b1, b2 = (as_rational(w) for w in beta)
+    beta = tuple(as_rational(w) for w in beta)
     rho = as_rational(rho)
-    if b0 + b1 + b2 != 1:
-        raise ValueError("vertex weights must sum to 1")
-    if b0 < 0 or b2 < 0 or b1 <= 0:
-        raise ValueError("vertex weights must have beta0, beta2 >= 0 and beta1 > 0")
-    if not 0 <= rho < 1:
-        raise ValueError("rho must lie in [0, 1)")
+    _check_vertex_weights(beta)
+    _check_edge_ratio(rho)
+    _, b1, b2 = beta
     zero = Fraction(0)
     return Simplex(((zero, zero), (b1, b2), (zero, 1 - rho)))
 
@@ -201,15 +200,10 @@ def _row(item: str, reference: str, computed: str) -> dict:
     }
 
 
-def _fmt(value: Fraction) -> str:
-    return str(value)
-
-
 def _example1_rows() -> list[dict]:
     demo = split_demo_polynomial()
     std2 = standard_simplex(2)
     form = to_bernstein(demo, barycentric_system(std2), 2)
-    rows = []
     initial_refs = {
         (2, 0, 0): Fraction(0),
         (1, 1, 0): Fraction(0),
@@ -218,18 +212,12 @@ def _example1_rows() -> list[dict]:
         (0, 1, 1): Fraction(-1, 2),
         (0, 0, 2): Fraction(1),
     }
-    for index, ref in initial_refs.items():
-        rows.append(
-            _row(
-                f"initial b{index}",
-                _fmt(ref),
-                _fmt(form.coefficient(index)),
-            )
-        )
+    rows = [
+        _row(f"initial b{index}", str(ref), str(form.coefficient(index)))
+        for index, ref in initial_refs.items()
+    ]
 
-    v0 = (Fraction(0), Fraction(0))
-    v1 = (Fraction(1), Fraction(0))
-    v2 = (Fraction(0), Fraction(1))
+    v0, v1, v2 = std2.vertices
     for theta in _THETAS:
         w = (1 - theta, theta)
         pieces = (
@@ -239,27 +227,16 @@ def _example1_rows() -> list[dict]:
         ref_002 = Fraction(1, 8) * (1 - theta) * theta + Fraction(1, 4)
         for label, piece, ref_011 in pieces:
             restricted = restrict_general(form, piece)
-            rows.append(
-                _row(
-                    f"theta={theta} {label} b(0,2,0)",
-                    "1",
-                    _fmt(restricted.coefficient((0, 2, 0))),
+            refs = (((0, 2, 0), 1), ((0, 1, 1), ref_011), ((0, 0, 2), ref_002))
+            for index, ref in refs:
+                compact = str(index).replace(" ", "")
+                rows.append(
+                    _row(
+                        f"theta={theta} {label} b{compact}",
+                        str(ref),
+                        str(restricted.coefficient(index)),
+                    )
                 )
-            )
-            rows.append(
-                _row(
-                    f"theta={theta} {label} b(0,1,1)",
-                    _fmt(ref_011),
-                    _fmt(restricted.coefficient((0, 1, 1))),
-                )
-            )
-            rows.append(
-                _row(
-                    f"theta={theta} {label} b(0,0,2)",
-                    _fmt(ref_002),
-                    _fmt(restricted.coefficient((0, 0, 2))),
-                )
-            )
 
     config = CertifyConfig(
         max_depth=1,
@@ -283,12 +260,10 @@ def _example1_rows() -> list[dict]:
     return rows
 
 
-def _counterexample_rows() -> list[dict]:
-    p = counterexample_polynomial()
-    form = to_bernstein(p, barycentric_system(standard_simplex(2)), 4)
+def _counterexample_rows(p: Polynomial, form: BernsteinForm) -> list[dict]:
     rows = [
         _row("nonzero coefficient count", "5", str(len(form.coeffs))),
-        _row("P(0,0)", "0", _fmt(p.evaluate((Fraction(0), Fraction(0))))),
+        _row("P(0,0)", "0", str(p.evaluate((Fraction(0), Fraction(0))))),
     ]
     refs = {
         (2, 2, 0): Fraction(3),
@@ -298,7 +273,7 @@ def _counterexample_rows() -> list[dict]:
         (0, 0, 4): Fraction(30),
     }
     for index, ref in refs.items():
-        rows.append(_row(f"b{index}", _fmt(ref), _fmt(form.coefficient(index))))
+        rows.append(_row(f"b{index}", str(ref), str(form.coefficient(index))))
     negatives = cert_status(form).negative_indices
     rows.append(
         _row(
@@ -310,8 +285,7 @@ def _counterexample_rows() -> list[dict]:
     return rows
 
 
-def _gram_rows() -> list[dict]:
-    p = counterexample_polynomial()
+def _gram_rows(p: Polynomial) -> list[dict]:
     g = counterexample_gram()
     diff = gram_polynomial(g) - p
     pivots = ldl_pivots(g.matrix)
@@ -320,7 +294,7 @@ def _gram_rows() -> list[dict]:
         _row(
             "ldl pivots",
             "18; 3; 10; 78/5",
-            "; ".join(_fmt(p) for p in pivots),
+            "; ".join(str(v) for v in pivots),
         ),
         _row(
             "positive definite",
@@ -330,9 +304,7 @@ def _gram_rows() -> list[dict]:
     ]
 
 
-def _persistence_rows() -> list[dict]:
-    p = counterexample_polynomial()
-    form = to_bernstein(p, barycentric_system(standard_simplex(2)), 4)
+def _persistence_rows(form: BernsteinForm) -> list[dict]:
     rows = []
     all_negative = True
     for beta1 in _BETA1_GRID:
@@ -344,16 +316,14 @@ def _persistence_rows() -> list[dict]:
                 form, family_simplex(weights, rho)
             ).coefficient((1, 1, 2))
             if via_transfer == via_restrict:
-                computed = _fmt(via_transfer)
+                computed = str(via_transfer)
             else:
-                computed = (
-                    f"transfer {_fmt(via_transfer)} != restrict {_fmt(via_restrict)}"
-                )
+                computed = f"transfer {via_transfer} != restrict {via_restrict}"
             all_negative = all_negative and via_transfer < 0 and via_restrict < 0
             rows.append(
                 _row(
                     f"beta1={beta1} rho={rho} b(1,1,2)",
-                    _fmt(closed),
+                    str(closed),
                     computed,
                 )
             )
@@ -374,11 +344,13 @@ def reproduce_report() -> dict:
     "persistence": {...}, "all_match": bool} where each section holds a
     list of rows {item, reference, computed, match}.
     """
+    p = counterexample_polynomial()
+    form = to_bernstein(p, barycentric_system(standard_simplex(2)), 4)
     sections = {
         "example1": _example1_rows(),
-        "counterexample": _counterexample_rows(),
-        "gram": _gram_rows(),
-        "persistence": _persistence_rows(),
+        "counterexample": _counterexample_rows(p, form),
+        "gram": _gram_rows(p),
+        "persistence": _persistence_rows(form),
     }
     report: dict = {name: {"rows": rows} for name, rows in sections.items()}
     report["all_match"] = all(
@@ -390,6 +362,7 @@ def reproduce_report() -> dict:
 def render_report(report: dict) -> str:
     """Aligned text table for the report dictionary."""
     lines = []
+    mismatches = 0
     for name in ("example1", "counterexample", "gram", "persistence"):
         rows = report[name]["rows"]
         lines.append(f"== {name} ==")
@@ -401,18 +374,13 @@ def render_report(report: dict) -> str:
             f"{'computed'.ljust(comp_w)}  flag"
         )
         for row in rows:
+            mismatches += not row["match"]
             flag = "MATCH" if row["match"] else "MISMATCH"
             lines.append(
                 f"{row['item'].ljust(item_w)}  {row['reference'].ljust(ref_w)}  "
                 f"{row['computed'].ljust(comp_w)}  {flag}"
             )
         lines.append("")
-    mismatches = sum(
-        1
-        for name in ("example1", "counterexample", "gram", "persistence")
-        for row in report[name]["rows"]
-        if not row["match"]
-    )
     if report["all_match"]:
         lines.append("all rows match")
     else:

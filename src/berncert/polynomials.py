@@ -29,7 +29,6 @@ __all__ = [
     "Polynomial",
     "PolynomialParseError",
     "as_rational",
-    "format_rational",
     "parse_polynomial",
     "format_polynomial",
     "grlex_key",
@@ -60,11 +59,6 @@ def as_rational(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
     raise TypeError(f"exact rational required, got {type(value).__name__}")
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical ``p/q`` rendering with denominator 1 elided."""
-    return str(q)
 
 
 def grlex_key(exponents: tuple[int, ...]) -> tuple:
@@ -106,7 +100,7 @@ class Polynomial:
     __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: Mapping | Iterable = ()):
-        if not isinstance(num_vars, int) or num_vars < 1:
+        if type(num_vars) is not int or num_vars < 1:
             raise ValueError(f"num_vars must be a positive int, got {num_vars!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
         canon: dict[tuple[int, ...], Fraction] = {}
@@ -421,11 +415,11 @@ def format_polynomial(p: Polynomial) -> str:
             if e
         )
         if not vars_txt:
-            body = format_rational(mag)
+            body = str(mag)
         elif mag == 1:
             body = vars_txt
         else:
-            body = f"{format_rational(mag)}*{vars_txt}"
+            body = f"{mag}*{vars_txt}"
         parts.append(("-" if c < 0 else "+", body))
     sign, body = parts[0]
     out = body if sign == "+" else f"-{body}"

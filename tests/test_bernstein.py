@@ -83,6 +83,9 @@ def test_degree_too_low():
         to_bernstein(p, system, 2)
     assert info.value.required == 4
     assert info.value.requested == 2
+    # a bool is not a degree, even where its int value would do
+    with pytest.raises(ValueError, match="nonnegative int"):
+        to_bernstein(parse_polynomial("x1", 1), system, True)
 
 
 def test_constant_expands_to_constant_coefficients():
@@ -141,8 +144,9 @@ def test_degree_elevate_needs_positive_steps():
     form = to_bernstein(
         parse_polynomial("x1", 2), barycentric_system(standard_simplex(2)), 1
     )
-    with pytest.raises(ValueError):
-        degree_elevate(form, 0)
+    for steps in (0, True):
+        with pytest.raises(ValueError):
+            degree_elevate(form, steps)
 
 
 def test_cert_status_classification():

@@ -60,12 +60,14 @@ def test_exit_code_parse_error(capsys):
 
 
 def test_exit_code_degree_too_low(capsys):
-    code, out, err = run(
-        capsys, "convert", "x1^4", "--simplex", "std2", "--degree", "2"
-    )
-    assert code == 3
-    assert out == ""
-    assert "degree" in err
+    for argv in (
+        ["convert", "x1^4", "--simplex", "std2", "--degree", "2"],
+        ["certify", "x1^4", "--max-degree", "2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "degree" in err
 
 
 def test_exit_code_degenerate_simplex(capsys):

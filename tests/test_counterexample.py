@@ -104,8 +104,9 @@ def test_is_positive_definite_cases():
 def test_persistence_value_spot_checks():
     assert persistence_value(1, 0) == -1
     assert persistence_value(Fraction(1, 2), Fraction(1, 2)) == Fraction(-1, 8)
-    with pytest.raises(ValueError):
-        persistence_value(0, 0)
+    for beta1 in (0, Fraction(3, 2)):  # admissible weights need 0 < beta1 <= 1
+        with pytest.raises(ValueError):
+            persistence_value(beta1, 0)
     with pytest.raises(ValueError):
         persistence_value(Fraction(1, 2), 1)
     with pytest.raises(TypeError):
