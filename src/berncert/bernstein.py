@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Mapping
 from . import linalg
 from .polynomials import (
     Polynomial,
+    as_int,
     as_rational,
     grlex_key,
     multinomial,
@@ -91,8 +92,7 @@ class BernsteinForm:
     __slots__ = ("system", "degree", "coeffs")
 
     def __init__(self, system: BarycentricSystem, degree: int, coeffs: Mapping):
-        if type(degree) is not int or degree < 0:
-            raise ValueError(f"degree must be a nonnegative int, got {degree!r}")
+        as_int(degree, "degree")
         slots = system.simplex.dimension + 1
         canon: dict[tuple[int, ...], Fraction] = {}
         for index, value in coeffs.items():
@@ -204,9 +204,7 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
     n = system.simplex.dimension
     if p.num_vars != n:
         raise ValueError(f"variable count mismatch: {p.num_vars} != {n}")
-    if type(degree) is not int or degree < 0:
-        raise ValueError(f"degree must be a nonnegative int, got {degree!r}")
-    if p.degree > degree:
+    if p.degree > as_int(degree, "degree"):
         raise DegreeTooLowError(required=p.degree, requested=degree)
 
     alphas = list(vectors_with_sum(n + 1, degree))
@@ -238,8 +236,7 @@ def degree_elevate(form: BernsteinForm, steps: int) -> BernsteinForm:
     b'_gamma = sum_i (gamma_i / (d+1)) * b_{gamma - e_i},
     applied ``steps`` times.  The represented polynomial is unchanged.
     """
-    if type(steps) is not int or steps < 1:
-        raise ValueError(f"elevation steps must be a positive int, got {steps!r}")
+    as_int(steps, "elevation steps", minimum=1)
     slots = form.simplex.dimension + 1
     coeffs = form.coeffs
     d = form.degree

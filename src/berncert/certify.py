@@ -32,7 +32,7 @@ from .bernstein import (
     from_bernstein,
     to_bernstein,
 )
-from .polynomials import Polynomial, grlex_key
+from .polynomials import Polynomial, as_int, grlex_key
 from .simplices import Simplex, barycentric_system
 from .subdivision import edge_split_forms
 
@@ -65,8 +65,8 @@ class Target(enum.Enum):
     NONNEGATIVE = "nonnegative"
 
 
-def status_meets(status: CertStatus, target: Target) -> bool:
-    if target is Target.POSITIVE:
+def status_meets(status: CertStatus, target: Target | str) -> bool:
+    if Target(target) is Target.POSITIVE:
         return status.kind is CertKind.POSITIVE
     return status.kind in (CertKind.POSITIVE, CertKind.NONNEGATIVE)
 
@@ -78,12 +78,22 @@ class CertifyConfig:
     max_depth counts edge splits along a root-to-leaf path; elevation
     does not consume depth and is capped by max_degree instead.
     max_degree=None means "the starting degree" (no elevation headroom).
+    strategy and target take a member or its value string; anything
+    else, a budget that is not an int, or a negative max_depth is a
+    ValueError.
     """
 
     max_depth: int = 8
     max_degree: int | None = None
     strategy: Strategy = Strategy.WITNESS_GUIDED_SPLIT
     target: Target = Target.NONNEGATIVE
+
+    def __post_init__(self) -> None:
+        as_int(self.max_depth, "max_depth")
+        if self.max_degree is not None:
+            as_int(self.max_degree, "max_degree", minimum=None)
+        object.__setattr__(self, "strategy", Strategy(self.strategy))
+        object.__setattr__(self, "target", Target(self.target))
 
 
 @dataclass(frozen=True)
@@ -174,12 +184,6 @@ def certify(p: Polynomial, simplex: Simplex, config: CertifyConfig) -> Certifica
     status meets the target (see ``is_certified``); otherwise the search
     is exhausted and ``failing_leaves`` lists the indeterminate frontier.
     """
-    if p.num_vars != simplex.dimension:
-        raise ValueError(
-            f"variable count mismatch: {p.num_vars} != {simplex.dimension}"
-        )
-    if config.max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
     start_degree = p.degree
     max_degree = config.max_degree if config.max_degree is not None else start_degree
     if max_degree < start_degree:
@@ -251,12 +255,12 @@ def _grow(
     return CertificateTree(form, status, split, children)
 
 
-def is_certified(tree: CertificateTree, target: Target) -> bool:
+def is_certified(tree: CertificateTree, target: Target | str) -> bool:
     return all(status_meets(leaf.status, target) for leaf in tree.leaves())
 
 
 def failing_leaves(
-    tree: CertificateTree, target: Target
+    tree: CertificateTree, target: Target | str
 ) -> list[tuple[tuple[int, ...], CertificateTree]]:
     """The frontier: (path, leaf) pairs whose status misses the target."""
     return [

@@ -166,10 +166,7 @@ _PARSER = _build_parser()
 def _parse_simplex_spec(spec: str) -> Simplex:
     match = re.fullmatch(r"std(\d+)", spec)
     if match:
-        n = int(match.group(1))
-        if n < 1:
-            raise ValueError("standard simplex dimension must be >= 1")
-        return standard_simplex(n)
+        return standard_simplex(int(match.group(1)))
     if spec.startswith("@"):
         text = Path(spec[1:]).read_text(encoding="utf-8")
     else:
@@ -241,8 +238,8 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
     config = CertifyConfig(
         max_depth=args.max_depth,
         max_degree=args.max_degree,
-        strategy=Strategy(args.strategy),
-        target=Target(_TARGET_ALIASES.get(args.target, args.target)),
+        strategy=args.strategy,
+        target=_TARGET_ALIASES.get(args.target, args.target),
     )
     tree = certify(p, simplex, config)
     certified = is_certified(tree, config.target)

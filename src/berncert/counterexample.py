@@ -35,7 +35,6 @@ from .simplices import Simplex, barycentric_system, standard_simplex
 from .subdivision import (
     _check_edge_ratio,
     _check_vertex_weights,
-    restrict_general,
     transfer_combined,
 )
 
@@ -135,10 +134,6 @@ def verify_gram(p: Polynomial, g: GramDecomposition) -> bool:
     """True iff z^T M z equals p exactly."""
     if not g.monomial_vector:
         raise ValueError("empty monomial vector")
-    if any(z.num_vars != p.num_vars for z in g.monomial_vector):
-        raise ValueError(
-            "variable count mismatch between the polynomial and the monomial vector"
-        )
     return (gram_polynomial(g) - p).is_zero
 
 
@@ -169,9 +164,8 @@ def vertex_weights_for(beta1) -> tuple[Fraction, Fraction, Fraction]:
     vertices; any admissible split gives the same (1,1,2) coefficient.
     """
     beta1 = as_rational(beta1)
-    if not 0 < beta1 <= 1:
-        raise ValueError("beta1 must lie in (0, 1]")
     side = (1 - beta1) / 2
+    _check_vertex_weights((side, beta1, side))  # admissible iff 0 < beta1 <= 1
     return (side, beta1, side)
 
 
@@ -226,7 +220,7 @@ def _example1_rows() -> list[dict]:
         )
         ref_002 = Fraction(1, 8) * (1 - theta) * theta + Fraction(1, 4)
         for label, piece, ref_011 in pieces:
-            restricted = restrict_general(form, piece)
+            restricted = to_bernstein(demo, barycentric_system(piece), 2)
             refs = (((0, 2, 0), 1), ((0, 1, 1), ref_011), ((0, 0, 2), ref_002))
             for index, ref in refs:
                 compact = str(index).replace(" ", "")
@@ -304,7 +298,7 @@ def _gram_rows(p: Polynomial) -> list[dict]:
     ]
 
 
-def _persistence_rows(form: BernsteinForm) -> list[dict]:
+def _persistence_rows(p: Polynomial, form: BernsteinForm) -> list[dict]:
     rows = []
     all_negative = True
     for beta1 in _BETA1_GRID:
@@ -312,14 +306,14 @@ def _persistence_rows(form: BernsteinForm) -> list[dict]:
         for rho in _RHO_GRID:
             closed = persistence_value(beta1, rho)
             via_transfer = transfer_combined(form, weights, rho).coefficient((1, 1, 2))
-            via_restrict = restrict_general(
-                form, family_simplex(weights, rho)
+            via_conversion = to_bernstein(
+                p, barycentric_system(family_simplex(weights, rho)), 4
             ).coefficient((1, 1, 2))
-            if via_transfer == via_restrict:
+            if via_transfer == via_conversion:
                 computed = str(via_transfer)
             else:
-                computed = f"transfer {via_transfer} != restrict {via_restrict}"
-            all_negative = all_negative and via_transfer < 0 and via_restrict < 0
+                computed = f"transfer {via_transfer} != conversion {via_conversion}"
+            all_negative = all_negative and via_transfer < 0 and via_conversion < 0
             rows.append(
                 _row(
                     f"beta1={beta1} rho={rho} b(1,1,2)",
@@ -350,7 +344,7 @@ def reproduce_report() -> dict:
         "example1": _example1_rows(),
         "counterexample": _counterexample_rows(p, form),
         "gram": _gram_rows(p),
-        "persistence": _persistence_rows(form),
+        "persistence": _persistence_rows(p, form),
     }
     report: dict = {name: {"rows": rows} for name, rows in sections.items()}
     report["all_match"] = all(

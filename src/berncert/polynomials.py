@@ -28,6 +28,7 @@ RationalLike = Union[int, str, Fraction]
 __all__ = [
     "Polynomial",
     "PolynomialParseError",
+    "as_int",
     "as_rational",
     "parse_polynomial",
     "format_polynomial",
@@ -59,6 +60,18 @@ def as_rational(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
     raise TypeError(f"exact rational required, got {type(value).__name__}")
+
+
+def as_int(value, name: str, minimum: int | None = 0) -> int:
+    """``value`` itself if it is an int of at least ``minimum``.
+
+    ``minimum`` is 0, 1, or None for any int.  Anything else is a
+    ValueError naming the argument: a bool, 1.0 or 3/2 is never truncated.
+    """
+    if type(value) is not int or (minimum is not None and value < minimum):
+        rule = {None: "an int", 0: "a nonnegative int", 1: "a positive int"}[minimum]
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
 
 
 def grlex_key(exponents: tuple[int, ...]) -> tuple:
@@ -100,8 +113,7 @@ class Polynomial:
     __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: Mapping | Iterable = ()):
-        if type(num_vars) is not int or num_vars < 1:
-            raise ValueError(f"num_vars must be a positive int, got {num_vars!r}")
+        as_int(num_vars, "num_vars", minimum=1)
         items = terms.items() if isinstance(terms, Mapping) else terms
         canon: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in items:
@@ -136,7 +148,7 @@ class Polynomial:
     @classmethod
     def variable(cls, num_vars: int, index: int) -> "Polynomial":
         """The monomial x_{index+1} (``index`` is 0-based)."""
-        if not 0 <= index < num_vars:
+        if as_int(index, "variable index") >= num_vars:
             raise ValueError(f"variable index {index} out of range for {num_vars} vars")
         exps = tuple(1 if k == index else 0 for k in range(num_vars))
         return cls(num_vars, {exps: Fraction(1)})
@@ -238,11 +250,9 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative int, got {exponent!r}")
+        e = as_int(exponent, "exponent")
         result = Polynomial.constant(self.num_vars, 1)
         base = self
-        e = exponent
         while e:
             if e & 1:
                 result = result * base

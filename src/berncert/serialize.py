@@ -4,6 +4,8 @@ Rationals render as integers when the denominator is 1 and as "p/q"
 strings otherwise, so nothing ever passes through a float.  Encoders
 iterate in sorted (graded-lex) order and ``canonical_dumps`` fixes the
 byte layout, which is what makes runs reproducible and digest-stable.
+Decoders require an int wherever one is stored; its range is checked
+by the form it builds or by ``verify_tree``'s replay.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from .bernstein import BernsteinForm, CertKind, CertStatus
 from .certify import CertificateTree, EdgeSplit, Elevation
-from .polynomials import as_rational
+from .polynomials import as_int, as_rational
 from .simplices import Simplex, barycentric_system
 
 __all__ = [
@@ -48,13 +50,6 @@ def rational_from_json(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
         raise ValueError(f"not a rational value: {value!r}")
     return as_rational(value)
-
-
-def _int_from_json(value) -> int:
-    """A JSON integer as is; anything else (1.5, 1.0, "1", true) is a ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"not an integer: {value!r}")
-    return value
 
 
 def simplex_to_json(simplex: Simplex) -> dict:
@@ -92,7 +87,7 @@ def form_from_json(obj) -> BernsteinForm:
         tuple(entry["index"]): rational_from_json(entry["value"])  # checked by the form
         for entry in obj["coefficients"]
     }
-    return BernsteinForm(barycentric_system(simplex), _int_from_json(obj["degree"]), coeffs)
+    return BernsteinForm(barycentric_system(simplex), obj["degree"], coeffs)
 
 
 def status_to_json(status: CertStatus) -> dict:
@@ -105,7 +100,10 @@ def status_to_json(status: CertStatus) -> dict:
 def status_from_json(obj) -> CertStatus:
     return CertStatus(
         CertKind(obj["kind"]),
-        tuple(tuple(map(_int_from_json, index)) for index in obj["negative_indices"]),
+        tuple(
+            tuple(as_int(a, "negative index entry", minimum=None) for a in index)
+            for index in obj["negative_indices"]
+        ),
     )
 
 
@@ -129,12 +127,12 @@ def split_from_json(obj):
         return None
     if obj["kind"] == "edge":
         return EdgeSplit(
-            _int_from_json(obj["i"]),
-            _int_from_json(obj["j"]),
+            as_int(obj["i"], "edge slot", minimum=None),
+            as_int(obj["j"], "edge slot", minimum=None),
             rational_from_json(obj["theta"]),
         )
     if obj["kind"] == "elevation":
-        return Elevation(_int_from_json(obj["steps"]))
+        return Elevation(as_int(obj["steps"], "elevation steps", minimum=None))
     raise ValueError(f"unknown split record: {obj!r}")
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .linalg import determinant, invert
-from .polynomials import Polynomial, as_rational
+from .polynomials import Polynomial, as_int, as_rational
 
 __all__ = [
     "DegenerateSimplexError",
@@ -64,7 +64,7 @@ class Simplex:
         return len(self.vertices) - 1
 
     def replace_vertex(self, slot: int, point: Sequence) -> "Simplex":
-        if not 0 <= slot <= self.dimension:
+        if as_int(slot, "vertex slot") > self.dimension:
             raise ValueError(f"vertex slot {slot} out of range")
         vs = list(self.vertices)
         vs[slot] = tuple(as_rational(c) for c in point)
@@ -85,8 +85,7 @@ class Simplex:
 
 def standard_simplex(n: int) -> Simplex:
     """Vertices 0, e_1, .., e_n."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    as_int(n, "dimension", minimum=1)
     zero = (Fraction(0),) * n
     verts = [zero]
     for k in range(n):

@@ -26,7 +26,7 @@ from math import comb
 from typing import Sequence
 
 from .bernstein import BernsteinForm, from_bernstein, to_bernstein
-from .polynomials import as_rational, multinomial, vectors_with_sum
+from .polynomials import as_int, as_rational, multinomial, vectors_with_sum
 from .simplices import Simplex, barycentric_system
 
 __all__ = [
@@ -45,10 +45,9 @@ def _check_edge_ratio(rho: Fraction) -> None:
 
 
 def _check_edge(n: int, i: int, j: int) -> None:
-    if type(i) is not int or type(j) is not int:
-        raise ValueError(f"edge slots must be ints, got ({i!r}, {j!r})")
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError(f"edge ({i}, {j}) out of range for dimension {n}")
+    for slot in (i, j):
+        if as_int(slot, "edge slot") > n:
+            raise ValueError(f"edge ({i}, {j}) out of range for dimension {n}")
     if i == j:
         raise ValueError("edge endpoints must differ")
 
@@ -201,12 +200,9 @@ def restrict_general(form: BernsteinForm, sub: Simplex) -> BernsteinForm:
 
     Works in any dimension and for any nondegenerate target simplex, at
     the cost of a full change of basis; the closed-form transfers above
-    must agree with it wherever they apply.
+    must agree with it wherever they apply.  ``to_bernstein`` rejects a
+    target simplex of another dimension.
     """
-    if sub.dimension != form.simplex.dimension:
-        raise ValueError(
-            f"dimension mismatch: {sub.dimension} != {form.simplex.dimension}"
-        )
     return to_bernstein(from_bernstein(form), barycentric_system(sub), form.degree)
 
 

@@ -31,6 +31,7 @@ from berncert import (
     walk,
 )
 from berncert.bernstein import CertStatus
+from berncert.certify import _derive
 from helpers import rand_point_in, rand_polynomial
 
 STD2 = standard_simplex(2)
@@ -143,6 +144,38 @@ def test_max_degree_below_polynomial_degree_rejected():
         )
 
 
+def test_config_reads_value_strings_and_rejects_bad_fields():
+    # bisect and witness split the counterexample's root on different edges
+    p = counterexample_polynomial()
+    by_member = certify(
+        p,
+        STD2,
+        CertifyConfig(
+            max_depth=2, strategy=Strategy.EDGE_BISECTION, target=Target.POSITIVE
+        ),
+    )
+    by_value = certify(
+        p, STD2, CertifyConfig(max_depth=2, strategy="bisect", target="positive")
+    )
+    assert by_value == by_member
+    assert by_member != certify(p, STD2, CertifyConfig(max_depth=2, target="positive"))
+    # x1^2 vanishes on the edge x1 = 0, so no positivity certificate exists
+    tree = certify(parse_polynomial("x1^2", 2), STD2, CertifyConfig(target="positive"))
+    assert not is_certified(tree, "positive")
+    assert failing_leaves(tree, "positive") == failing_leaves(tree, Target.POSITIVE)
+    for bad in (
+        {"max_depth": True},
+        {"max_depth": Fraction(3, 2)},
+        {"max_depth": -1},
+        {"max_degree": 4.5},
+        {"max_degree": True},
+        {"target": "bogus"},
+        {"strategy": "bogus"},
+    ):
+        with pytest.raises(ValueError):
+            CertifyConfig(**bad)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         certify(parse_polynomial("x1 + x2 + x3", 3), STD2, CertifyConfig())
@@ -245,6 +278,28 @@ def test_verify_tree_detects_tampered_leaf():
     )
     tampered = replace(tree, children=(doctored_leaf, tree.children[1]))
     assert not verify_tree(tampered)
+
+
+def test_verify_tree_rejects_a_faulty_edge_move_at_the_leaves(monkeypatch):
+    # the same wrong edge move builds the tree and replays it, so only the
+    # independent leaf conversion can tell; patching the globals of the
+    # search's own rule reaches the module copy this test imported
+    real = _derive.__globals__["edge_split_forms"]
+
+    def faulty(form, i, j, theta):
+        children = []
+        for child in real(form, i, j, theta):
+            coeffs = dict(child.coeffs)
+            first = next(child.indices())
+            coeffs[first] = coeffs.get(first, 0) + Fraction(1, 7)
+            children.append(BernsteinForm(child.system, child.degree, coeffs))
+        return tuple(children)
+
+    monkeypatch.setitem(_derive.__globals__, "edge_split_forms", faulty)
+    tree = certify(split_demo_polynomial(), STD2, CertifyConfig(max_depth=1))
+    assert len(tree.children) == 2
+    assert is_certified(tree, Target.NONNEGATIVE)
+    assert not verify_tree(tree)
 
 
 def test_verify_tree_detects_wrong_status():

@@ -86,6 +86,18 @@ def test_exit_code_zero_denominator_in_simplex(capsys):
     assert err.startswith("error:")
 
 
+def test_exit_code_bad_simplex_spec(capsys):
+    for argv in (
+        ["convert", "x1", "--simplex", "[[0],"],  # not JSON
+        ["convert", "x1", "--simplex", "std0"],
+        ["restrict", "x1^2 + x2", "--to", "std3"],  # not the polynomial's dimension
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_exit_code_recursion_limit(capsys):
     code, out, err = run(capsys, "certify", "x1 - 1/2", "--max-depth", "1200")
     assert code == 5  # not 1, which means Exhausted
@@ -165,6 +177,19 @@ def test_certify_positive_target_reports_a_zero_coefficient(capsys):
     payload = parse_json_exact(out)
     assert payload["status"] == "exhausted"
     assert payload["failing"] == [{"path": [0, 0], "negative_indices": []}]
+
+
+def test_certify_frontier_shows_ten_leaves_and_counts_the_rest(capsys):
+    argv = ["certify", "x1^2*x2^2", "--target", "positive", "--strategy", "bisect"]
+    code, out, err = run(capsys, *argv, "--max-depth", "4")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert (
+        "frontier: 12 leaf/leaves short of the target (0 indeterminate, 12 nonnegative)"
+        in lines
+    )
+    assert sum(line.startswith("  path ") for line in lines) == 10
+    assert lines[-1] == "  ... and 2 more"
 
 
 def test_certify_json_is_byte_identical_across_runs(capsys):

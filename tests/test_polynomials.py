@@ -133,8 +133,12 @@ def test_pow():
     x = Polynomial.variable(1, 0)
     assert (x + 1) ** 0 == Polynomial.constant(1, 1)
     assert (x + 1) ** 3 == (x + 1) * (x + 1) * (x + 1)
-    with pytest.raises(ValueError):
-        (x + 1) ** -1
+    for exponent in (-1, True):  # a bool would raise to the first power
+        with pytest.raises(ValueError):
+            (x + 1) ** exponent
+    for index in (True, 1.0):  # a bool would give x2
+        with pytest.raises(ValueError):
+            Polynomial.variable(2, index)
 
 
 def test_variable_count_mismatch():

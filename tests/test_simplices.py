@@ -19,6 +19,9 @@ def test_standard_simplex():
     assert s.dimension == 2
     assert s.determinant == 1
     assert standard_simplex(3).dimension == 3
+    for n in (True, Fraction(2)):  # a bool would build a 1-simplex
+        with pytest.raises(ValueError):
+            standard_simplex(n)
 
 
 def test_degenerate_simplex_raises():
@@ -44,6 +47,9 @@ def test_replace_vertex():
     assert moved.vertices[2] == (Fraction(1, 2), Fraction(1, 2))
     assert moved.vertices[:2] == s.vertices[:2]
     assert s.vertices[2] == (0, 1)  # original untouched
+    for slot in (True, 1.0):  # a bool would replace slot 1
+        with pytest.raises(ValueError):
+            s.replace_vertex(slot, (Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_barycentric_coordinates_at_vertices():
