@@ -12,7 +12,10 @@ proves P >= 0, and [min b, max b] encloses the range of P there.
 
 ``to_bernstein`` (a linear solve for the b_alpha) and ``from_bernstein``
 (the sum above) read the same table of basis polynomials B_alpha, built
-with one polynomial multiplication per index.
+with one polynomial multiplication per index.  Both kernels work on
+integers: a product convolves integer numerators over each factor's
+common denominator, and the solve is ``linalg``'s fraction-free
+elimination, so a Fraction is built once per output coefficient.
 
 Forms store only nonzero coefficients; an absent index reads as 0 and
 implicit zeros count when classifying (they block a strict-positivity
@@ -198,7 +201,8 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
     """Exact change of basis into the degree-d Bernstein basis.
 
     Expands every basis polynomial in the monomial basis and solves the
-    square linear system matching monomial coefficients.  Raises
+    square linear system matching monomial coefficients by fraction-free
+    elimination (``linalg.solve``).  Raises
     DegreeTooLowError if degree < deg(p) (no exact representation).
     """
     n = system.simplex.dimension

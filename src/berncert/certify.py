@@ -95,6 +95,10 @@ class CertifyConfig:
         object.__setattr__(self, "strategy", Strategy(self.strategy))
         object.__setattr__(self, "target", Target(self.target))
 
+    def degree_cap(self, start_degree: int) -> int:
+        """The elevation cap for a search that starts at ``start_degree``."""
+        return self.max_degree if self.max_degree is not None else start_degree
+
 
 @dataclass(frozen=True)
 class EdgeSplit:
@@ -185,7 +189,7 @@ def certify(p: Polynomial, simplex: Simplex, config: CertifyConfig) -> Certifica
     is exhausted and ``failing_leaves`` lists the indeterminate frontier.
     """
     start_degree = p.degree
-    max_degree = config.max_degree if config.max_degree is not None else start_degree
+    max_degree = config.degree_cap(start_degree)
     if max_degree < start_degree:
         raise DegreeTooLowError(required=start_degree, requested=max_degree)
     root_form = to_bernstein(p, barycentric_system(simplex), start_degree)

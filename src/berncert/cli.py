@@ -244,7 +244,7 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
     tree = certify(p, simplex, config)
     certified = is_certified(tree, config.target)
     frontier = failing_leaves(tree, config.target)
-    max_degree = config.max_degree if config.max_degree is not None else p.degree
+    max_degree = config.degree_cap(p.degree)
     payload = {
         "status": "certified" if certified else "exhausted",
         "target": config.target.value,

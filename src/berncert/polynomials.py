@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
 Exponents = "tuple[int, ...]"
@@ -30,6 +31,7 @@ __all__ = [
     "PolynomialParseError",
     "as_int",
     "as_rational",
+    "over_common_denominator",
     "parse_polynomial",
     "format_polynomial",
     "grlex_key",
@@ -72,6 +74,13 @@ def as_int(value, name: str, minimum: int | None = 0) -> int:
         rule = {None: "an int", 0: "a nonnegative int", 1: "a positive int"}[minimum]
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value
+
+
+def over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(D, [D * v for v in values]): the rationals as integers over their lcm denominator D."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def grlex_key(exponents: tuple[int, ...]) -> tuple:
@@ -124,7 +133,9 @@ class Polynomial:
                 )
             if any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError(f"exponents must be nonnegative ints, got {exps}")
-            c = canon.get(exps, Fraction(0)) + as_rational(coeff)
+            c = as_rational(coeff)
+            if exps in canon:
+                c += canon[exps]
             if c:
                 canon[exps] = c
             elif exps in canon:
@@ -136,6 +147,16 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     # --- constructors -------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, num_vars: int, terms: dict) -> "Polynomial":
+        """Wrap ``terms`` unchecked: it must already be canonical (valid
+        exponent tuples of length ``num_vars``, nonzero Fractions), as the
+        results of this class's own operations are."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     @classmethod
     def zero(cls, num_vars: int) -> "Polynomial":
@@ -232,20 +253,22 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
+        """The product, convolved on integer numerators over each operand's lcm denominator."""
         other = self._coerce(other, self.num_vars)
         if other is None:
             return NotImplemented
         self._check_vars(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return Polynomial(self.num_vars, out)
+        da, left = over_common_denominator(self.terms.values())
+        db, right = over_common_denominator(other.terms.values())
+        right = list(zip(other.terms, right))
+        acc: dict[tuple[int, ...], int] = {}
+        for e1, c1 in zip(self.terms, left):
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        den = da * db
+        out = {e: Fraction(v, den) for e, v in acc.items() if v}
+        return Polynomial._canonical(self.num_vars, out)
 
     __rmul__ = __mul__
 

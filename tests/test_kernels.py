@@ -1,0 +1,260 @@
+"""Property tests for the integer kernels against independent oracles.
+
+``Polynomial.__mul__`` is checked against a naive per-term Fraction
+product, ``determinant`` against cofactor expansion, ``ldl_pivots``
+against ratios of cofactor-expanded leading minors, and ``solve`` /
+``invert`` by exact substitution (A x == b, A A^-1 == I).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from berncert import (
+    Polynomial,
+    SingularMatrixError,
+    determinant,
+    invert,
+    ldl_pivots,
+    solve,
+)
+from helpers import rand_rational
+
+BIG_DENOMINATORS = (1, 3, 2**61 - 1, 10**30 + 7, 2**40, 999_999_937)
+
+
+def _naive_product(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _assert_canonical(p):
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == p.num_vars
+        assert type(c) is Fraction and c != 0
+
+
+def _sparse_polynomial(rng, num_vars, big=False):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exps = tuple(rng.randint(0, 3) for _ in range(num_vars))
+        if big:
+            c = Fraction(rng.randint(-(10**20), 10**20), rng.choice(BIG_DENOMINATORS))
+        else:
+            c = rand_rational(rng, -4, 4, 6)
+        terms[exps] = c
+    return Polynomial(num_vars, terms)
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_product_matches_naive_fraction_product(big):
+    rng = random.Random(101 + big)
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        p, q = _sparse_polynomial(rng, n, big), _sparse_polynomial(rng, n, big)
+        got = p * q
+        _assert_canonical(got)
+        assert got.terms == _naive_product(p, q)
+        assert (q * p).terms == got.terms
+
+
+def test_product_drops_terms_that_cancel():
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    got = (x1 + x2) * (x1 - x2)
+    assert got.terms == {(2, 0): 1, (0, 2): -1}
+    _assert_canonical(got)
+
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        a, b = _sparse_polynomial(rng, n), _sparse_polynomial(rng, n, big=True)
+        got = (a + b) * (a - b)  # the cross terms a*b cancel
+        _assert_canonical(got)
+        assert got.terms == _naive_product(a + b, a - b)
+        assert got == a * a - b * b
+
+
+def test_product_with_zero_polynomial():
+    rng = random.Random(9)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        p = _sparse_polynomial(rng, n, big=True)
+        zero = Polynomial.zero(n)
+        for got in (p * zero, zero * p, p * 0, 0 * p, zero * zero):
+            assert got.terms == {} and got.num_vars == n and got.is_zero
+
+
+def test_product_with_constants():
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        p = _sparse_polynomial(rng, n, big=rng.random() < 0.5)
+        c = Fraction(rng.randint(-50, 50), rng.choice(BIG_DENOMINATORS))
+        want = {e: v * c for e, v in p.terms.items() if v * c}
+        for got in (p * c, c * p, p * Polynomial.constant(n, c)):
+            _assert_canonical(got)
+            assert got.terms == want
+        assert (p * 1).terms == p.terms and (3 * p).terms == _naive_product(
+            p, Polynomial.constant(n, 3)
+        )
+
+
+def test_product_of_large_denominators_is_reduced():
+    x = Polynomial.variable(1, 0)
+    p = Fraction(1, 2**61 - 1) * x + Fraction(5, 6)
+    q = Fraction(2**61 - 1, 3) * x - Fraction(7, 10**30 + 7)
+    got = p * q
+    assert got.terms == _naive_product(p, q)
+    assert got.coefficient((2,)) == Fraction(1, 3)
+    assert got.coefficient((1,)) == Fraction(5 * (2**61 - 1), 18) - Fraction(
+        7, (2**61 - 1) * (10**30 + 7)
+    )
+
+
+# --- linear algebra ------------------------------------------------------
+
+
+def _cofactor_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    total = Fraction(0)
+    for j, v in enumerate(m[0]):
+        if v:
+            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+            total += (-1) ** j * v * _cofactor_det(minor)
+    return total
+
+
+def _rand_matrix(rng, n, zero_share=0.3):
+    return [
+        [
+            Fraction(0) if rng.random() < zero_share else rand_rational(rng, -6, 6, 9)
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+
+
+def _mat_vec(a, x):
+    return [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_determinant_matches_cofactor_expansion():
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = _rand_matrix(rng, n, zero_share=rng.choice((0, 0.3, 0.6)))
+        got = determinant(m)
+        assert type(got) is Fraction
+        assert got == _cofactor_det(m)
+
+
+def test_determinant_of_singular_and_large_denominator_matrices():
+    rng = random.Random(22)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        m = _rand_matrix(rng, n)
+        k = rng.randrange(n)
+        m[k] = [2 * v for v in m[(k + 1) % n]]  # a repeated row, up to scale
+        assert determinant(m) == 0
+        big = [
+            [Fraction(rng.randint(-9, 9), rng.choice(BIG_DENOMINATORS)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert determinant(big) == _cofactor_det(big)
+
+
+def test_ldl_pivots_are_ratios_of_leading_minors():
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        a = _rand_matrix(rng, n, zero_share=0.2)
+        sym = [[a[i][j] if i <= j else a[j][i] for j in range(n)] for i in range(n)]
+        want, prev = [], Fraction(1)
+        for k in range(1, n + 1):
+            minor = _cofactor_det([row[:k] for row in sym[:k]])
+            want.append(minor / prev)
+            if not minor:
+                break
+            prev = minor
+        got = ldl_pivots(sym)
+        assert all(type(v) is Fraction for v in got)
+        assert got == want
+
+
+def _needs_row_swap(rng, n):
+    """A nonsingular matrix whose (0, 0) entry is zero, with negative entries."""
+    while True:
+        m = _rand_matrix(rng, n, zero_share=0.4)
+        m[0][0] = Fraction(0)
+        m[rng.randrange(1, n)][rng.randrange(n)] = -abs(rand_rational(rng, 1, 7, 5))
+        if _cofactor_det(m):
+            return m
+
+
+def test_solve_substitutes_back_exactly():
+    rng = random.Random(31)
+    for trial in range(200):
+        n = rng.randint(1, 4)
+        m = _needs_row_swap(rng, n) if trial % 2 and n > 1 else _rand_matrix(rng, n)
+        b = [rand_rational(rng, -8, 8, 7) for _ in range(n)]
+        if not _cofactor_det(m):
+            with pytest.raises(SingularMatrixError):
+                solve(m, b)
+            continue
+        x = solve(m, b)
+        assert all(type(v) is Fraction for v in x)
+        assert _mat_vec(m, x) == b
+
+
+def test_invert_gives_identity_exactly():
+    rng = random.Random(37)
+    for trial in range(150):
+        n = rng.randint(1, 4)
+        m = _needs_row_swap(rng, n) if trial % 2 and n > 1 else _rand_matrix(rng, n)
+        if not _cofactor_det(m):
+            with pytest.raises(SingularMatrixError):
+                invert(m)
+            continue
+        inv = invert(m)
+        assert all(type(v) is Fraction for row in inv for v in row)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert _mat_mul(m, inv) == identity
+        assert _mat_mul(inv, m) == identity
+
+
+def test_zero_leading_rows_and_negative_entries():
+    m = [[0, 0, -2], [0, -3, 1], [5, 1, 0]]
+    assert determinant(m) == _cofactor_det([[Fraction(v) for v in r] for r in m]) == -30
+    x = solve(m, [4, -1, 2])
+    assert _mat_vec(m, x) == [4, -1, 2]
+    assert _mat_mul(m, invert(m)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_kernels_keep_their_exceptions():
+    for bad in ([[1.0, 2], [3, 4]], [[1, 2], [3, 0.5]]):
+        for fn in (determinant, invert, ldl_pivots):
+            with pytest.raises(TypeError):
+                fn(bad)
+        with pytest.raises(TypeError):
+            solve(bad, [1, 2])
+    with pytest.raises(TypeError):
+        solve([[1, 2], [3, 4]], [1, 2.5])
+    for fn in (determinant, invert, ldl_pivots):
+        with pytest.raises(ValueError):
+            fn([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(SingularMatrixError):
+        invert([[0, 0], [0, 0]])
+    with pytest.raises(SingularMatrixError):
+        solve([[1, 2], [2, 4]], [1, 2])
+    with pytest.raises(TypeError):
+        Polynomial.variable(2, 0) * 1.5
