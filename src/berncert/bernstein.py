@@ -12,10 +12,14 @@ proves P >= 0, and [min b, max b] encloses the range of P there.
 
 ``to_bernstein`` (a linear solve for the b_alpha) and ``from_bernstein``
 (the sum above) read the same table of basis polynomials B_alpha, built
-with one polynomial multiplication per index.  Both kernels work on
-integers: a product convolves integer numerators over each factor's
-common denominator, and the solve is ``linalg``'s fraction-free
-elimination, so a Fraction is built once per output coefficient.
+with one polynomial multiplication per index and scaled by its
+multinomial term by term.  The kernels work on integers: a product
+convolves integer numerators over each factor's common denominator, the
+solve is ``linalg``'s fraction-free elimination, and ``degree_elevate``
+runs every step on the numerators over one denominator, so a Fraction is
+built once per output coefficient.  Kernel outputs are wrapped unchecked
+(``BernsteinForm._canonical``); the public constructor checks every
+index and value.
 
 Forms store only nonzero coefficients; an absent index reads as 0 and
 implicit zeros count when classifying (they block a strict-positivity
@@ -37,6 +41,7 @@ from .polynomials import (
     as_rational,
     grlex_key,
     multinomial,
+    over_common_denominator,
     vectors_with_sum,
 )
 from .simplices import BarycentricSystem
@@ -107,6 +112,19 @@ class BernsteinForm:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", canon)
 
+    @classmethod
+    def _canonical(
+        cls, system: BarycentricSystem, degree: int, coeffs: dict
+    ) -> "BernsteinForm":
+        """Wrap ``coeffs`` unchecked: it must already be canonical (valid
+        multi-indices of length n+1 summing to ``degree``, nonzero
+        Fractions), as the results of this module's kernels are."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("BernsteinForm is immutable")
 
@@ -169,7 +187,8 @@ def _basis(
 
     lambda^alpha is lambda^(alpha - e_i) * lambda_i for the first nonzero
     alpha_i, so every index, and every index below it that is not built
-    yet, costs one polynomial multiplication.
+    yet, costs one polynomial multiplication; the multinomial scales the
+    terms of lambda^alpha directly.
     """
     n = system.simplex.dimension
     coords = system.coords
@@ -186,7 +205,12 @@ def _basis(
             alpha = up
         return products[alpha]
 
-    return {alpha: multinomial(degree, alpha) * product(alpha) for alpha in alphas}
+    def scaled(alpha: tuple[int, ...]) -> Polynomial:
+        m = multinomial(degree, alpha)
+        terms = {e: m * c for e, c in product(alpha).terms.items()}
+        return Polynomial._canonical(n, terms)
+
+    return {alpha: scaled(alpha) for alpha in alphas}
 
 
 def bernstein_basis_polynomial(
@@ -220,7 +244,7 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
     rhs = [p.coefficient(m) for m in monomials]
     solution = linalg.solve(matrix, rhs)
     coeffs = {a: v for a, v in zip(alphas, solution) if v}
-    return BernsteinForm(system, degree, coeffs)
+    return BernsteinForm._canonical(system, degree, coeffs)
 
 
 def from_bernstein(form: BernsteinForm) -> Polynomial:
@@ -239,25 +263,26 @@ def degree_elevate(form: BernsteinForm, steps: int) -> BernsteinForm:
     One elevation step sends degree d to d+1 with
     b'_gamma = sum_i (gamma_i / (d+1)) * b_{gamma - e_i},
     applied ``steps`` times.  The represented polynomial is unchanged.
+    The steps run on integers: over the coefficients' lcm denominator D a
+    step is N'_gamma = sum_i gamma_i * N_{gamma - e_i} and multiplies D by
+    d+1, and each nonzero output becomes one Fraction at the end.
     """
     as_int(steps, "elevation steps", minimum=1)
     slots = form.simplex.dimension + 1
-    coeffs = form.coeffs
+    den, nums = over_common_denominator(form.coeffs.values())
+    acc = dict(zip(form.coeffs, nums))
     d = form.degree
     for _ in range(steps):
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for alpha, b in coeffs.items():
+        nxt: dict[tuple[int, ...], int] = {}
+        for alpha, c in acc.items():
             for i in range(slots):
                 gamma = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-                w = Fraction(gamma[i], d + 1) * b
-                s = acc.get(gamma, Fraction(0)) + w
-                if s:
-                    acc[gamma] = s
-                elif gamma in acc:
-                    del acc[gamma]
-        coeffs = acc
+                nxt[gamma] = nxt.get(gamma, 0) + gamma[i] * c
+        acc = nxt
         d += 1
-    return BernsteinForm(form.system, d, coeffs)
+        den *= d
+    coeffs = {gamma: Fraction(c, den) for gamma, c in acc.items() if c}
+    return BernsteinForm._canonical(form.system, d, coeffs)
 
 
 def cert_status(form: BernsteinForm) -> CertStatus:

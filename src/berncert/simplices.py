@@ -6,6 +6,12 @@ with its n+1 affine polynomials lambda_0 .. lambda_n, lambda_i(v_j) =
 delta_ij and sum(lambda_i) = 1, which are solved on first read: forms
 derived by closed-form transfers never need them.  A point lies in the
 (closed) simplex iff all its barycentric coordinates are >= 0.
+
+Replacing a vertex v_j by a point whose barycentric weight on v_j is
+mu > 0 multiplies the edge-matrix determinant by mu, so the children of
+an edge move or split (``subdivision``) inherit their parent's
+determinant instead of running a new elimination; every other simplex,
+including every one read from JSON, is checked in full.
 """
 
 from __future__ import annotations
@@ -69,6 +75,20 @@ class Simplex:
         vs = list(self.vertices)
         vs[slot] = tuple(as_rational(c) for c in point)
         return Simplex(vs)
+
+    def _replaced(self, slot: int, point: tuple, weight: Fraction) -> "Simplex":
+        """The simplex with ``point`` in ``slot``, built unchecked.
+
+        ``point`` must be a tuple of Fractions whose barycentric weight on
+        the replaced vertex is ``weight`` > 0, so the determinant is the
+        parent's times ``weight`` and the child is nondegenerate.
+        """
+        vs = list(self.vertices)
+        vs[slot] = point
+        child = object.__new__(Simplex)
+        object.__setattr__(child, "vertices", tuple(vs))
+        object.__setattr__(child, "determinant", self.determinant * weight)
+        return child
 
     def __eq__(self, other):
         if not isinstance(other, Simplex):

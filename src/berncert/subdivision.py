@@ -17,16 +17,30 @@ must agree with every closed-form transfer.  ``split_edge`` produces the
 two children of an edge subdivision, and ``edge_split_forms`` computes
 their coefficients exactly, in any dimension, with one edge move each on
 the split edge's own slots; no slot is relabeled.
+
+The edge move is the search's per-node cost, so ``transfer_edge_v2``
+sums integer numerators over one common denominator and builds a
+Fraction only per nonzero output coefficient.  The children of an edge
+move or split are built without a new elimination: each takes its
+parent's determinant times the new vertex's barycentric weight on the
+vertex it replaces (``Simplex._replaced``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .bernstein import BernsteinForm, from_bernstein, to_bernstein
-from .polynomials import as_int, as_rational, multinomial, vectors_with_sum
+from .polynomials import (
+    as_int,
+    as_rational,
+    multinomial,
+    over_common_denominator,
+    vectors_with_sum,
+)
 from .simplices import Simplex, barycentric_system
 
 __all__ = [
@@ -89,37 +103,52 @@ def transfer_edge_v2(
     are untouched:
     b~_g = sum_{k=0}^{g_j} C(g_j, k) rho^(g_j-k) (1-rho)^k b_s,
     where s equals g except s_i = g_i + g_j - k and s_j = k.
+
+    The sum runs on integers: with the coefficients N_s / D over their
+    lcm denominator D and rho = p/q, b~_g is
+    sum_k C(g_j, k) p^(g_j-k) (q-p)^k N_s / (D q^(g_j)), one Fraction per
+    nonzero output.  The indices s of one sum differ only in slots i and
+    j, so the form is read once, line by line along the edge.  The child
+    simplex inherits the determinant times 1-rho, w's weight on v_j.
     """
     rho = as_rational(rho)
     _check_edge_ratio(rho)
-    vertices = form.simplex.vertices
-    n = len(vertices) - 1
+    simplex = form.simplex
+    n = simplex.dimension
     if j is None:
         j = n
     _check_edge(n, i, j)
-    w = _combine((vertices[i], vertices[j]), (rho, 1 - rho))
     d = form.degree
-    # weights[m][k] = C(m, k) rho^(m-k) (1-rho)^k, built once for every index
+    p, q = rho.numerator, rho.denominator
+    # weights[m][k] = q^m C(m, k) rho^(m-k) (1-rho)^k, built once for every index
     weights = [
-        [comb(m, k) * rho ** (m - k) * (1 - rho) ** k for k in range(m + 1)]
+        [comb(m, k) * p ** (m - k) * (q - p) ** k for k in range(m + 1)]
         for m in range(d + 1)
     ]
-    coeffs = form.coeffs
+    den, nums = over_common_denominator(form.coeffs.values())
+    # lines[rest][k] = N_s with s_j = k, over the s equal to rest off slots i and j
+    lines: dict[tuple[int, ...], list[int]] = {}
+    for s, c in zip(form.coeffs, nums):
+        rest = list(s)
+        rest[i] = rest[j] = 0
+        rest = tuple(rest)
+        line = lines.get(rest)
+        if line is None:
+            line = lines[rest] = [0] * (s[i] + s[j] + 1)
+        line[s[j]] = c
     out: dict[tuple[int, ...], Fraction] = {}
-    for gamma in vectors_with_sum(n + 1, d):
-        gi, gj = gamma[i], gamma[j]
-        sigma = list(gamma)
-        row = weights[gj]
-        total = Fraction(0)
-        for k in range(gj + 1):
-            sigma[i], sigma[j] = gi + gj - k, k
-            b = coeffs.get(tuple(sigma))
-            if b:
-                total += row[k] * b
-        if total:
-            out[gamma] = total
-    new_simplex = form.simplex.replace_vertex(j, w)
-    return BernsteinForm(barycentric_system(new_simplex), d, out)
+    for rest, line in lines.items():
+        gamma = list(rest)
+        top = len(line) - 1
+        for m in range(top + 1):
+            total = sum(map(mul, weights[m], line))
+            if total:
+                gamma[i], gamma[j] = top - m, m
+                out[tuple(gamma)] = Fraction(total, den * q**m)
+    vi, vj, stay = simplex.vertices[i], simplex.vertices[j], 1 - rho
+    w = tuple(rho * a + stay * b for a, b in zip(vi, vj))
+    child = simplex._replaced(j, w, stay)
+    return BernsteinForm._canonical(barycentric_system(child), d, out)
 
 
 def transfer_vertex_v1(form: BernsteinForm, beta) -> BernsteinForm:
@@ -212,7 +241,9 @@ def split_edge(simplex: Simplex, i: int, j: int, theta) -> tuple[Simplex, Simple
     Returns the two children: first with v_j replaced by w, second with
     v_i replaced by w; the new vertex always takes the replaced vertex's
     slot.  Their union is the original simplex and their interiors are
-    disjoint.
+    disjoint.  The children's determinants are the parent's times theta
+    and times 1-theta, w's weights on v_j and on v_i; neither child runs
+    an elimination.
     """
     _check_edge(simplex.dimension, i, j)
     theta = as_rational(theta)
@@ -220,7 +251,7 @@ def split_edge(simplex: Simplex, i: int, j: int, theta) -> tuple[Simplex, Simple
         raise ValueError(f"theta must satisfy 0 < theta < 1, got {theta}")
     vi, vj = simplex.vertices[i], simplex.vertices[j]
     w = tuple((1 - theta) * a + theta * b for a, b in zip(vi, vj))
-    return simplex.replace_vertex(j, w), simplex.replace_vertex(i, w)
+    return simplex._replaced(j, w, theta), simplex._replaced(i, w, 1 - theta)
 
 
 def edge_split_forms(

@@ -32,6 +32,7 @@ from berncert import (
 )
 from berncert.bernstein import CertStatus
 from berncert.certify import _derive
+from berncert.serialize import tree_from_json, tree_to_json
 from helpers import rand_point_in, rand_polynomial
 
 STD2 = standard_simplex(2)
@@ -264,6 +265,23 @@ def test_search_solves_barycentric_coordinates_only_for_the_root(monkeypatch):
         tree = certify(p, simplex, config)
         assert tree.children  # the search split, yet only the root's to_bernstein solved
         assert len(calls) == 1
+
+
+def test_search_runs_no_determinant_and_json_checks_every_node(monkeypatch):
+    # split children inherit their parent's determinant; a certificate read
+    # from JSON is untrusted, so each of its simplices is eliminated in full
+    simplex = standard_simplex(2)
+    calls = []
+    det = berncert.simplices.determinant
+    monkeypatch.setattr(
+        berncert.simplices, "determinant", lambda m: calls.append(m) or det(m)
+    )
+    tree = certify(counterexample_polynomial(), simplex, CertifyConfig(max_depth=8))
+    assert len(tree.children) == 2
+    assert len(calls) == 0
+    payload = tree_to_json(tree)
+    assert tree_from_json(payload) == tree
+    assert len(calls) == sum(1 for _ in walk(tree))
 
 
 def test_verify_tree_detects_tampered_leaf():

@@ -3,7 +3,11 @@
 ``Polynomial.__mul__`` is checked against a naive per-term Fraction
 product, ``determinant`` against cofactor expansion, ``ldl_pivots``
 against ratios of cofactor-expanded leading minors, and ``solve`` /
-``invert`` by exact substitution (A x == b, A A^-1 == I).
+``invert`` by exact substitution (A x == b, A A^-1 == I).  The search's
+moves: ``transfer_edge_v2`` against the full change of basis
+``restrict_general``, ``degree_elevate`` against single steps, a
+per-term Fraction step and ``to_bernstein``, and every split child's
+inherited determinant against a fresh elimination of its vertices.
 """
 
 import random
@@ -12,14 +16,24 @@ from fractions import Fraction
 import pytest
 
 from berncert import (
+    BernsteinForm,
     Polynomial,
+    Simplex,
     SingularMatrixError,
+    barycentric_system,
+    degree_elevate,
     determinant,
+    from_bernstein,
     invert,
     ldl_pivots,
+    restrict_general,
     solve,
+    split_edge,
+    to_bernstein,
+    transfer_edge_v2,
 )
-from helpers import rand_rational
+from berncert.polynomials import vectors_with_sum
+from helpers import rand_rational, rand_simplex
 
 BIG_DENOMINATORS = (1, 3, 2**61 - 1, 10**30 + 7, 2**40, 999_999_937)
 
@@ -258,3 +272,122 @@ def test_kernels_keep_their_exceptions():
         solve([[1, 2], [2, 4]], [1, 2])
     with pytest.raises(TypeError):
         Polynomial.variable(2, 0) * 1.5
+
+
+# --- the search's moves --------------------------------------------------
+
+RHOS = (Fraction(0), Fraction(1, 2), Fraction(2, 7), Fraction(5, 9))
+THETAS = (Fraction(1, 2), Fraction(1, 3), Fraction(5, 7))
+
+
+def _assert_canonical_form(form):
+    slots = form.simplex.dimension + 1
+    for index, c in form.coeffs.items():
+        assert type(index) is tuple and len(index) == slots
+        assert all(type(a) is int and a >= 0 for a in index)
+        assert sum(index) == form.degree
+        assert type(c) is Fraction and c != 0
+
+
+def _rand_form(rng, n, degree, big=False):
+    """A random form on a random simplex, about a third of its coefficients zero."""
+    coeffs = {}
+    for index in vectors_with_sum(n + 1, degree):
+        if rng.random() < 0.35:
+            continue
+        if big:
+            num = rng.randint(-(10**12), 10**12)
+            coeffs[index] = Fraction(num, rng.choice(BIG_DENOMINATORS))
+        else:
+            coeffs[index] = rand_rational(rng, -5, 5, 9)
+    return BernsteinForm(barycentric_system(rand_simplex(rng, n)), degree, coeffs)
+
+
+def _ordered_edges(n):
+    return [(i, j) for i in range(n + 1) for j in range(n + 1) if i != j]
+
+
+def test_edge_move_matches_general_reexpansion():
+    rng = random.Random(41)
+    for n, degree in ((1, 4), (2, 3), (3, 2), (4, 2)):
+        forms = [_rand_form(rng, n, degree), _rand_form(rng, n, degree, big=True)]
+        forms.append(BernsteinForm(forms[0].system, degree, {}))  # the zero form
+        for form in forms:
+            for i, j in _ordered_edges(n):
+                for rho in RHOS:
+                    moved = transfer_edge_v2(form, rho, i, j)
+                    _assert_canonical_form(moved)
+                    assert moved == restrict_general(form, moved.simplex)
+                    assert moved.simplex.vertices[:j] == form.simplex.vertices[:j]
+    zero = BernsteinForm(barycentric_system(rand_simplex(rng, 3)), 3, {})
+    assert transfer_edge_v2(zero, Fraction(2, 7), 1, 3).coeffs == {}
+
+
+def test_edge_move_drops_coefficients_that_cancel():
+    # at g = (d-1) e_i + e_j the sum is rho * b_{d e_i} + (1-rho) * b_{(d-1) e_i + e_j}
+    rng = random.Random(43)
+    for n in (1, 2, 3, 4):
+        degree = 3 if n < 4 else 2
+        system = barycentric_system(rand_simplex(rng, n))
+        for i, j in _ordered_edges(n):
+            for rho in RHOS[1:]:
+                at_i = tuple(degree if k == i else 0 for k in range(n + 1))
+                near_i = tuple(
+                    degree - 1 if k == i else int(k == j) for k in range(n + 1)
+                )
+                form = BernsteinForm(system, degree, {at_i: 1 - rho, near_i: -rho})
+                moved = transfer_edge_v2(form, rho, i, j)
+                _assert_canonical_form(moved)
+                assert near_i not in moved.coeffs
+                assert moved == restrict_general(form, moved.simplex)
+
+
+def _one_elevation_step(form):
+    """b'_g = sum_i g_i / (d+1) * b_{g - e_i}, one Fraction product per term."""
+    d = form.degree
+    out = {}
+    for alpha, b in form.coeffs.items():
+        for i in range(len(alpha)):
+            gamma = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+            out[gamma] = out.get(gamma, Fraction(0)) + Fraction(gamma[i], d + 1) * b
+    return {g: c for g, c in out.items() if c}
+
+
+def test_elevation_matches_single_steps_and_conversion():
+    rng = random.Random(47)
+    for n, degree in ((1, 3), (2, 2), (2, 4), (3, 2), (4, 1)):
+        for big in (False, True):
+            form = _rand_form(rng, n, degree, big=big)
+            p = from_bernstein(form)
+            stepped = form
+            for steps in (1, 2, 3):
+                want = _one_elevation_step(stepped)
+                stepped = degree_elevate(stepped, 1)
+                assert stepped.coeffs == want
+                elevated = degree_elevate(form, steps)
+                _assert_canonical_form(elevated)
+                assert elevated == stepped
+                assert elevated.degree == degree + steps
+                assert elevated.system is form.system
+                assert elevated == to_bernstein(p, form.system, degree + steps)
+    zero = BernsteinForm(barycentric_system(rand_simplex(rng, 2)), 2, {})
+    for steps in (1, 4):
+        elevated = degree_elevate(zero, steps)
+        assert elevated.coeffs == {} and elevated.degree == 2 + steps
+
+
+def test_split_and_move_children_inherit_the_determinant():
+    rng = random.Random(53)
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            simplex = rand_simplex(rng, n)
+            form = BernsteinForm(barycentric_system(simplex), 1, {})
+            for i, j in _ordered_edges(n):
+                children = [transfer_edge_v2(form, rho, i, j).simplex for rho in RHOS]
+                for theta in THETAS:
+                    children += split_edge(simplex, i, j, theta)
+                for child in children:
+                    fresh = Simplex(child.vertices)
+                    assert type(child.determinant) is Fraction
+                    assert child.determinant == fresh.determinant
+                    assert child == fresh
