@@ -13,7 +13,11 @@ proves P >= 0, and [min b, max b] encloses the range of P there.
 ``to_bernstein`` (a linear solve for the b_alpha) and ``from_bernstein``
 (the sum above) read the same table of basis polynomials B_alpha, built
 with one polynomial multiplication per index and scaled by its
-multinomial term by term.  The kernels work on integers: a product
+multinomial term by term.  ``to_bernstein`` solves at P's own degree
+only; a higher degree is reached by the closed multi-step elevation of
+that solution, which shares no code with ``degree_elevate`` (the
+search's stepwise rule), so a leaf check by ``to_bernstein`` does not
+trust the search's elevation.  The kernels work on integers: a product
 convolves integer numerators over each factor's common denominator, the
 solve is ``linalg``'s fraction-free elimination, and ``degree_elevate``
 runs every step on the numerators over one denominator, so a Fraction is
@@ -224,9 +228,18 @@ def bernstein_basis_polynomial(
 def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> BernsteinForm:
     """Exact change of basis into the degree-d Bernstein basis.
 
-    Expands every basis polynomial in the monomial basis and solves the
-    square linear system matching monomial coefficients by fraction-free
-    elimination (``linalg.solve``).  Raises
+    Solves at k = deg(p) only: expands every degree-k basis polynomial in
+    the monomial basis and solves the square linear system matching
+    monomial coefficients by fraction-free elimination (``linalg.solve``).
+    For d > k the degree-k coefficients are lifted in one closed step,
+
+        b_gamma = sum over alpha <= gamma, |alpha| = k of
+                  b_alpha * M(k, alpha) * M(d-k, gamma-alpha) / M(d, gamma)
+
+    with M the multinomial (Farouki, CAGD 2012), on integer numerators
+    over one common denominator.  The lift shares no code with
+    ``degree_elevate``, the search's stepwise rule, so ``verify_tree``'s
+    leaf check stays independent of the search's moves.  Raises
     DegreeTooLowError if degree < deg(p) (no exact representation).
     """
     n = system.simplex.dimension
@@ -234,7 +247,32 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
         raise ValueError(f"variable count mismatch: {p.num_vars} != {n}")
     if p.degree > as_int(degree, "degree"):
         raise DegreeTooLowError(required=p.degree, requested=degree)
+    k, lift = p.degree, degree - p.degree
+    form = _solve_at_degree(p, system, k)
+    if not lift:
+        return form
 
+    den, nums = over_common_denominator(form.coeffs.values())
+    deltas = [(e, multinomial(lift, e)) for e in vectors_with_sum(n + 1, lift)]
+    acc: dict[tuple[int, ...], int] = {}
+    for alpha, num in zip(form.coeffs, nums):
+        weight = num * multinomial(k, alpha)
+        for delta, m in deltas:
+            gamma = tuple(a + b for a, b in zip(alpha, delta))
+            acc[gamma] = acc.get(gamma, 0) + weight * m
+    coeffs = {
+        gamma: Fraction(acc[gamma], den * multinomial(degree, gamma))
+        for gamma in vectors_with_sum(n + 1, degree)
+        if acc.get(gamma)
+    }
+    return BernsteinForm._canonical(system, degree, coeffs)
+
+
+def _solve_at_degree(
+    p: Polynomial, system: BarycentricSystem, degree: int
+) -> BernsteinForm:
+    """The degree-``degree`` form of p by the basis table and a linear solve."""
+    n = system.simplex.dimension
     alphas = list(vectors_with_sum(n + 1, degree))
     monomials = [e for t in range(degree + 1) for e in vectors_with_sum(n, t)]
     assert len(alphas) == len(monomials)

@@ -10,7 +10,9 @@ out.  One rule, ``_derive``, turns a node's form and its split record
 into the child forms: the closed-form edge move (``edge_split_forms``)
 in every dimension, or ``degree_elevate``.  The tree is a checkable
 proof object: ``verify_tree`` replays every record with that same rule,
-and re-derives every leaf from the root polynomial with ``to_bernstein``.
+and re-derives every leaf from the root polynomial with ``to_bernstein``:
+a solve at the polynomial's own degree, plus, for an elevated leaf, the
+closed multi-step lift, which shares no code with ``degree_elevate``.
 
 Everything is deterministic: same input, same tree, same serialization.
 """
@@ -281,8 +283,10 @@ def verify_tree(tree: CertificateTree) -> bool:
     every split record on its node's form (the search's own ``_derive``)
     and compares the result with the stored children, and independently
     recomputes every leaf's form from the root polynomial with
-    ``to_bernstein`` (a linear solve, not the search's edge move), so a
-    faulty edge move cannot certify a leaf.  Raises MalformedTreeError
+    ``to_bernstein``: a linear solve at the polynomial's own degree and,
+    on an elevated leaf, the closed multi-step lift to the leaf's degree.
+    Neither is the search's edge move or ``degree_elevate``, so a faulty
+    edge move or elevation cannot certify a leaf.  Raises MalformedTreeError
     when a record is invalid or the children's count, simplices or
     degrees differ from the replay; returns False on any value mismatch.
     """

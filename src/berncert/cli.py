@@ -47,7 +47,6 @@ from .simplices import (
     barycentric_system,
     standard_simplex,
 )
-from .subdivision import restrict_general
 
 __all__ = ["main"]
 
@@ -187,10 +186,12 @@ def _load_inputs(args) -> tuple[Polynomial, Simplex]:
     return p, simplex
 
 
-def _root_form(args) -> tuple[Polynomial, BernsteinForm]:
+def _root_form(args, on: Simplex | None = None) -> tuple[Polynomial, BernsteinForm]:
+    """P and its form on ``on``, or on the --simplex input when ``on`` is None."""
     p, simplex = _load_inputs(args)
     degree = args.degree if getattr(args, "degree", None) is not None else p.degree
-    return p, to_bernstein(p, barycentric_system(simplex), degree)
+    system = barycentric_system(simplex if on is None else on)
+    return p, to_bernstein(p, system, degree)
 
 
 def _render_vertex(vertex) -> str:
@@ -219,9 +220,8 @@ def _cmd_convert(args) -> tuple[dict, str, int]:
 
 
 def _cmd_restrict(args) -> tuple[dict, str, int]:
-    _, form = _root_form(args)
-    sub = _parse_simplex_spec(args.to)
-    restricted = restrict_general(form, sub)
+    # P's form on --simplex, re-expanded on --to, is P's form on --to
+    _, restricted = _root_form(args, on=_parse_simplex_spec(args.to))
     return form_to_json(restricted), _render_form(restricted), 0
 
 

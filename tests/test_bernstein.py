@@ -15,6 +15,7 @@ from berncert import (
     enclosure_bound,
     from_bernstein,
     parse_polynomial,
+    solve,
     standard_simplex,
     to_bernstein,
 )
@@ -45,12 +46,45 @@ def test_to_bernstein_matches_standard_simplex_closed_form():
         system = barycentric_system(standard_simplex(n))
         for _ in range(6 if n < 3 else 3):
             p = rand_polynomial(rng, num_vars=n, max_degree=3)
-            degree = max(p.degree, rng.randint(1, 4))
-            form = to_bernstein(p, system, degree)
-            for gamma in vectors_with_sum(n + 1, degree):
-                assert form.coefficient(gamma) == _std_oracle_coefficient(
-                    p, degree, gamma
-                )
+            # deg P itself (the solve) and above it (the solve plus the lift)
+            for degree in range(p.degree, p.degree + 5):
+                form = to_bernstein(p, system, degree)
+                for gamma in vectors_with_sum(n + 1, degree):
+                    assert form.coefficient(gamma) == _std_oracle_coefficient(
+                        p, degree, gamma
+                    )
+
+
+def _solve_oracle(p, system, degree):
+    """The degree-d coefficients by the full N_d x N_d basis solve.
+
+    The route ``to_bernstein`` took at every degree before it solved at
+    deg P only; it shares no code with the closed multi-step lift.
+    """
+    n = system.simplex.dimension
+    alphas = list(vectors_with_sum(n + 1, degree))
+    monomials = [e for t in range(degree + 1) for e in vectors_with_sum(n, t)]
+    basis = [bernstein_basis_polynomial(system, degree, a) for a in alphas]
+    matrix = [[b.coefficient(m) for b in basis] for m in monomials]
+    solution = solve(matrix, [p.coefficient(m) for m in monomials])
+    return {a: v for a, v in zip(alphas, solution) if v}
+
+
+def test_to_bernstein_above_the_polynomial_degree_matches_the_full_solve():
+    rng = random.Random(20261018)
+    for n, max_degree in ((1, 3), (2, 3), (3, 2), (4, 1)):
+        system = barycentric_system(rand_simplex(rng, n=n))
+        polys = [
+            rand_polynomial(rng, num_vars=n, max_degree=max_degree),
+            Polynomial.zero(n),
+            Polynomial.constant(n, Fraction(-5, 3)),
+        ]
+        for p in polys:
+            for lift in range(5):
+                degree = p.degree + lift
+                form = to_bernstein(p, system, degree)
+                assert form.degree == degree
+                assert form.coeffs == _solve_oracle(p, system, degree)
 
 
 def test_round_trip_on_random_simplices():
@@ -131,6 +165,8 @@ def test_degree_elevate_preserves_polynomial():
 
 
 def test_degree_elevate_matches_direct_conversion():
+    # to_bernstein reaches d + 2 by one closed multi-step lift of its deg-P
+    # solve, so this compares the search's stepwise recurrence with that lift
     rng = random.Random(56)
     p = rand_polynomial(rng, max_degree=3)
     system = barycentric_system(standard_simplex(2))

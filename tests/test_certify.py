@@ -27,6 +27,7 @@ from berncert import (
     split_demo_polynomial,
     standard_simplex,
     status_meets,
+    to_bernstein,
     verify_tree,
     walk,
 )
@@ -318,6 +319,30 @@ def test_verify_tree_rejects_a_faulty_edge_move_at_the_leaves(monkeypatch):
     assert len(tree.children) == 2
     assert is_certified(tree, Target.NONNEGATIVE)
     assert not verify_tree(tree)
+
+
+def test_verify_tree_rejects_a_faulty_elevation_at_the_leaves(monkeypatch):
+    # the same wrong elevation builds the tree and replays it; patching it in
+    # the bernstein module as well means a leaf conversion that went through
+    # degree_elevate would agree with the faulty tree and let it pass
+    real = _derive.__globals__["degree_elevate"]
+
+    def faulty(form, steps):
+        child = real(form, steps)
+        coeffs = dict(child.coeffs)
+        first = next(child.indices())
+        coeffs[first] = coeffs.get(first, 0) + Fraction(1, 7)
+        return BernsteinForm(child.system, child.degree, coeffs)
+
+    monkeypatch.setitem(_derive.__globals__, "degree_elevate", faulty)
+    monkeypatch.setitem(to_bernstein.__globals__, "degree_elevate", faulty)
+    q = parse_polynomial("x1^2 + x2^2 - x1*x2 + 1/10", 2)
+    for strategy in (Strategy.ELEVATION_ONLY, Strategy.ELEVATION_THEN_SPLIT):
+        config = CertifyConfig(max_degree=6, strategy=strategy, target=Target.POSITIVE)
+        tree = certify(q, STD2, config)
+        assert isinstance(tree.split, Elevation)
+        assert is_certified(tree, Target.POSITIVE)
+        assert not verify_tree(tree)
 
 
 def test_verify_tree_detects_wrong_status():

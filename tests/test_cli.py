@@ -130,6 +130,19 @@ def test_restrict_to_subsimplex(capsys):
     assert "b(0, 1, 1) = 1/4" in out
 
 
+def test_restrict_matches_convert_on_the_target_simplex(capsys):
+    target = '[[0,0],[1,0],["1/2","1/2"]]'
+    for degree in ([], ["--degree", "2"], ["--degree", "5"]):
+        converted = run(capsys, "convert", DEMO, "--simplex", target, *degree, "--json")
+        assert converted[0] == 0
+        for source in ("std2", '[[-1,0],[2,0],[0,"3/2"]]'):
+            restricted = run(
+                capsys, "restrict", DEMO, "--simplex", source, "--to", target,
+                *degree, "--json",
+            )
+            assert restricted == converted
+
+
 def test_elevate(capsys):
     code, out, _ = run(capsys, "elevate", DEMO, "--simplex", "std2", "--by", "2")
     assert code == 0
