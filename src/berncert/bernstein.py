@@ -10,20 +10,29 @@ are nonnegative on the simplex and sum to 1, the coefficient signs are
 certificates: all b_alpha > 0 proves P > 0 on the simplex, all >= 0
 proves P >= 0, and [min b, max b] encloses the range of P there.
 
-``to_bernstein`` (a linear solve for the b_alpha) and ``from_bernstein``
-(the sum above) read the same table of basis polynomials B_alpha, built
-with one polynomial multiplication per index and scaled by its
-multinomial term by term.  ``to_bernstein`` solves at P's own degree
-only; a higher degree is reached by the closed multi-step elevation of
-that solution, which shares no code with ``degree_elevate`` (the
-search's stepwise rule), so a leaf check by ``to_bernstein`` does not
-trust the search's elevation.  The kernels work on integers: a product
-convolves integer numerators over each factor's common denominator, the
-solve is ``linalg``'s fraction-free elimination, and ``degree_elevate``
-runs every step on the numerators over one denominator, so a Fraction is
-built once per output coefficient.  Kernel outputs are wrapped unchecked
-(``BernsteinForm._canonical``); the public constructor checks every
-index and value.
+``to_bernstein`` (a linear solve) and ``from_bernstein`` (the sum above)
+read the same unscaled table {alpha: lambda^alpha}, built from the
+barycentric coordinates with one polynomial multiplication per index.
+``to_bernstein`` solves at P's own degree k only, for the power-basis
+coefficients c_alpha of P = sum c_alpha * lambda^alpha: column alpha of
+the system is lambda^alpha's monomial coefficients as integers over the
+table's lcm denominator den, so ``linalg.solve`` eliminates an integer
+matrix against den * P, and b_alpha = c_alpha / multinomial(k, alpha)
+is applied after the solve.  A higher degree is reached by the closed
+multi-step elevation of the c_alpha, which shares no code with
+``degree_elevate`` (the search's stepwise rule), so a leaf check by
+``to_bernstein`` does not trust the search's elevation.
+``from_bernstein`` sums b_alpha * multinomial(d, alpha) * lambda^alpha as
+integer numerators.  The kernels work on integers: a product convolves
+integer numerators over each factor's common denominator, the solve is
+``linalg``'s fraction-free elimination, and ``degree_elevate`` runs
+every step on the numerators over one denominator, so a Fraction is
+built once per output coefficient.  (Scaling the table by its
+multinomials before the solve, and reading its entries through
+``Polynomial.coefficient``, built 2.3x as many Fractions on the
+benchmark's ``verify`` workload: 64 969 against 28 017 per traced pass.)
+Kernel outputs are wrapped unchecked (``BernsteinForm._canonical``); the
+public constructor checks every index and value.
 
 Forms store only nonzero coefficients; an absent index reads as 0 and
 implicit zeros count when classifying (they block a strict-positivity
@@ -35,7 +44,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Mapping
 
 from . import linalg
@@ -185,14 +194,13 @@ class CertStatus:
 
 
 def _basis(
-    system: BarycentricSystem, degree: int, alphas: Iterable[tuple[int, ...]]
+    system: BarycentricSystem, alphas: Iterable[tuple[int, ...]]
 ) -> dict[tuple[int, ...], Polynomial]:
-    """{alpha: B_alpha} for the given indices, all summing to ``degree``.
+    """{alpha: lambda^alpha} for the given indices, unscaled.
 
     lambda^alpha is lambda^(alpha - e_i) * lambda_i for the first nonzero
     alpha_i, so every index, and every index below it that is not built
-    yet, costs one polynomial multiplication; the multinomial scales the
-    terms of lambda^alpha directly.
+    yet, costs one polynomial multiplication.
     """
     n = system.simplex.dimension
     coords = system.coords
@@ -209,12 +217,12 @@ def _basis(
             alpha = up
         return products[alpha]
 
-    def scaled(alpha: tuple[int, ...]) -> Polynomial:
-        m = multinomial(degree, alpha)
-        terms = {e: m * c for e, c in product(alpha).terms.items()}
-        return Polynomial._canonical(n, terms)
+    return {alpha: product(alpha) for alpha in alphas}
 
-    return {alpha: scaled(alpha) for alpha in alphas}
+
+def _table_denominator(table: dict[tuple[int, ...], Polynomial]) -> int:
+    """The lcm of every coefficient denominator in the table."""
+    return lcm(*(c.denominator for lam in table.values() for c in lam.terms.values()))
 
 
 def bernstein_basis_polynomial(
@@ -222,44 +230,42 @@ def bernstein_basis_polynomial(
 ) -> Polynomial:
     """B_alpha = multinomial(degree, alpha) * lambda^alpha as a Polynomial."""
     alpha = _multi_index(alpha, system.simplex.dimension + 1, degree)
-    return _basis(system, degree, (alpha,))[alpha]
+    m = multinomial(degree, alpha)
+    terms = {e: m * c for e, c in _basis(system, (alpha,))[alpha].terms.items()}
+    return Polynomial._canonical(system.simplex.dimension, terms)
 
 
 def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> BernsteinForm:
     """Exact change of basis into the degree-d Bernstein basis.
 
-    Solves at k = deg(p) only: expands every degree-k basis polynomial in
-    the monomial basis and solves the square linear system matching
-    monomial coefficients by fraction-free elimination (``linalg.solve``).
-    For d > k the degree-k coefficients are lifted in one closed step,
+    Solves at k = deg(p) only, for the power-basis coefficients c_alpha
+    of p = sum c_alpha * lambda^alpha over |alpha| = k (``_solve_at_degree``).
+    The degree-d coefficients then follow in one closed step,
 
         b_gamma = sum over alpha <= gamma, |alpha| = k of
-                  b_alpha * M(k, alpha) * M(d-k, gamma-alpha) / M(d, gamma)
+                  c_alpha * M(d-k, gamma-alpha) / M(d, gamma)
 
     with M the multinomial (Farouki, CAGD 2012), on integer numerators
-    over one common denominator.  The lift shares no code with
-    ``degree_elevate``, the search's stepwise rule, so ``verify_tree``'s
-    leaf check stays independent of the search's moves.  Raises
-    DegreeTooLowError if degree < deg(p) (no exact representation).
+    over one common denominator; at d = k this is b_alpha = c_alpha / M(k, alpha).
+    The lift shares no code with ``degree_elevate``, the search's stepwise
+    rule, so ``verify_tree``'s leaf check stays independent of the
+    search's moves.  Raises DegreeTooLowError if degree < deg(p) (no
+    exact representation).
     """
     n = system.simplex.dimension
     if p.num_vars != n:
         raise ValueError(f"variable count mismatch: {p.num_vars} != {n}")
     if p.degree > as_int(degree, "degree"):
         raise DegreeTooLowError(required=p.degree, requested=degree)
-    k, lift = p.degree, degree - p.degree
-    form = _solve_at_degree(p, system, k)
-    if not lift:
-        return form
-
-    den, nums = over_common_denominator(form.coeffs.values())
+    power = _solve_at_degree(p, system, p.degree)
+    den, nums = over_common_denominator(power.values())
+    lift = degree - p.degree
     deltas = [(e, multinomial(lift, e)) for e in vectors_with_sum(n + 1, lift)]
     acc: dict[tuple[int, ...], int] = {}
-    for alpha, num in zip(form.coeffs, nums):
-        weight = num * multinomial(k, alpha)
+    for alpha, num in zip(power, nums):
         for delta, m in deltas:
             gamma = tuple(a + b for a, b in zip(alpha, delta))
-            acc[gamma] = acc.get(gamma, 0) + weight * m
+            acc[gamma] = acc.get(gamma, 0) + num * m
     coeffs = {
         gamma: Fraction(acc[gamma], den * multinomial(degree, gamma))
         for gamma in vectors_with_sum(n + 1, degree)
@@ -270,29 +276,49 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
 
 def _solve_at_degree(
     p: Polynomial, system: BarycentricSystem, degree: int
-) -> BernsteinForm:
-    """The degree-``degree`` form of p by the basis table and a linear solve."""
+) -> dict[tuple[int, ...], Fraction]:
+    """{alpha: c_alpha}, nonzero, with p = sum of c_alpha * lambda^alpha over |alpha| = degree.
+
+    Column alpha of the system holds the monomial coefficients of
+    lambda^alpha as integers over the table's lcm denominator den, so
+    ``linalg.solve`` runs on an integer matrix against den * p.
+    """
     n = system.simplex.dimension
     alphas = list(vectors_with_sum(n + 1, degree))
-    monomials = [e for t in range(degree + 1) for e in vectors_with_sum(n, t)]
-    assert len(alphas) == len(monomials)
+    monomials = (e for t in range(degree + 1) for e in vectors_with_sum(n, t))
+    row = {e: r for r, e in enumerate(monomials)}
+    assert len(alphas) == len(row)
 
-    basis = _basis(system, degree, alphas)
-    matrix = [[basis[a].coefficient(m) for a in alphas] for m in monomials]
-    rhs = [p.coefficient(m) for m in monomials]
+    table = _basis(system, alphas)
+    den = _table_denominator(table)
+    matrix = [[0] * len(alphas) for _ in alphas]
+    for col, alpha in enumerate(alphas):
+        for e, c in table[alpha].terms.items():
+            matrix[row[e]][col] = c.numerator * (den // c.denominator)
+    rhs = [0] * len(alphas)
+    for e, c in p.terms.items():
+        rhs[row[e]] = c * den
     solution = linalg.solve(matrix, rhs)
-    coeffs = {a: v for a, v in zip(alphas, solution) if v}
-    return BernsteinForm._canonical(system, degree, coeffs)
+    return {a: c for a, c in zip(alphas, solution) if c}
 
 
 def from_bernstein(form: BernsteinForm) -> Polynomial:
-    """Expand the form back into the monomial basis: sum of b_alpha * B_alpha (exact)."""
-    basis = _basis(form.system, form.degree, form.coeffs)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for alpha, b in form.coeffs.items():
-        for exps, c in basis[alpha].terms.items():
-            terms[exps] = terms.get(exps, 0) + b * c
-    return Polynomial(form.simplex.dimension, terms)
+    """Expand the form back into the monomial basis: sum of b_alpha * M(d, alpha) * lambda^alpha.
+
+    The sum runs on integer numerators over the product of the form's and
+    the table's lcm denominators, with one Fraction per output term.
+    """
+    table = _basis(form.system, form.coeffs)
+    den_t = _table_denominator(table)
+    den_b, nums = over_common_denominator(form.coeffs.values())
+    acc: dict[tuple[int, ...], int] = {}
+    for (alpha, lam), num in zip(table.items(), nums):
+        weight = num * multinomial(form.degree, alpha)
+        for e, c in lam.terms.items():
+            acc[e] = acc.get(e, 0) + weight * c.numerator * (den_t // c.denominator)
+    den = den_b * den_t
+    terms = {e: Fraction(v, den) for e, v in acc.items() if v}
+    return Polynomial._canonical(form.simplex.dimension, terms)
 
 
 def degree_elevate(form: BernsteinForm, steps: int) -> BernsteinForm:

@@ -186,12 +186,12 @@ def _load_inputs(args) -> tuple[Polynomial, Simplex]:
     return p, simplex
 
 
-def _root_form(args, on: Simplex | None = None) -> tuple[Polynomial, BernsteinForm]:
-    """P and its form on ``on``, or on the --simplex input when ``on`` is None."""
+def _root_form(args, on: Simplex | None = None) -> BernsteinForm:
+    """P's form on ``on``, or on the --simplex input when ``on`` is None."""
     p, simplex = _load_inputs(args)
     degree = args.degree if getattr(args, "degree", None) is not None else p.degree
     system = barycentric_system(simplex if on is None else on)
-    return p, to_bernstein(p, system, degree)
+    return to_bernstein(p, system, degree)
 
 
 def _render_vertex(vertex) -> str:
@@ -215,20 +215,20 @@ def _render_form(form: BernsteinForm) -> str:
 
 
 def _cmd_convert(args) -> tuple[dict, str, int]:
-    _, form = _root_form(args)
+    form = _root_form(args)
     return form_to_json(form), _render_form(form), 0
 
 
 def _cmd_restrict(args) -> tuple[dict, str, int]:
     # P's form on --simplex, re-expanded on --to, is P's form on --to
-    _, restricted = _root_form(args, on=_parse_simplex_spec(args.to))
+    restricted = _root_form(args, on=_parse_simplex_spec(args.to))
     return form_to_json(restricted), _render_form(restricted), 0
 
 
 def _cmd_elevate(args) -> tuple[dict, str, int]:
     if args.by < 1:
         raise ValueError("--by must be >= 1")
-    _, form = _root_form(args)
+    form = _root_form(args)
     elevated = degree_elevate(form, args.by)
     return form_to_json(elevated), _render_form(elevated), 0
 

@@ -12,7 +12,9 @@ arithmetic, and the updated row is divided by the gcd of its entries
 (its content), which keeps the integers at the size of the row's
 primitive part.  Back-substitution keeps the solution as integer
 numerators over one common denominator, so a Fraction is built only
-once per output entry.
+once per output entry.  A plain int entry is kept as it is (a bool is
+rejected like a float), so an integer system builds no Fraction before
+its solution.
 
 Bareiss's integer-preserving elimination (Math. Comp. 1968) divides
 every row by the previous pivot instead.  On the basis-change matrices
@@ -36,15 +38,20 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def _copy(matrix) -> list[list[Fraction]]:
-    rows = [[as_rational(v) for v in row] for row in matrix]
+def _entry(v) -> int | Fraction:
+    """A plain int as it is (a bool is not one), anything else through ``as_rational``."""
+    return v if type(v) is int else as_rational(v)
+
+
+def _copy(matrix) -> list[list[int | Fraction]]:
+    rows = [[_entry(v) for v in row] for row in matrix]
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square matrix required")
     return rows
 
 
-def _integer_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
+def _integer_rows(rows: list[list[int | Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Each row times the lcm of its denominators, and those row scales."""
     scales, out = zip(*map(over_common_denominator, rows))
     return list(out), list(scales)
@@ -126,7 +133,7 @@ def _back_substitute(rows: list[list[int]]) -> list[list[Fraction]]:
     return [[Fraction(v, den) for v in out] for out in y]
 
 
-def _pivots(a: list[list[Fraction]], swap: bool) -> tuple[int, list[tuple[int, int]]]:
+def _pivots(a: list[list[int | Fraction]], swap: bool) -> tuple[int, list[tuple[int, int]]]:
     """The sign of the row swaps and the pivots of Gaussian elimination on A.
 
     Each pivot is an integer pair (numerator, denominator): the integer
@@ -153,7 +160,7 @@ def determinant(matrix) -> Fraction:
 def solve(matrix, rhs) -> list[Fraction]:
     """Solve A x = b exactly; raises SingularMatrixError if A is singular."""
     a = _copy(matrix)
-    b = [as_rational(v) for v in rhs]
+    b = [_entry(v) for v in rhs]
     if len(b) != len(a):
         raise ValueError("rhs length does not match matrix")
     for row, v in zip(a, b):
@@ -168,7 +175,7 @@ def invert(matrix) -> list[list[Fraction]]:
     """Exact inverse: solve A X = I for the identity columns."""
     a = _copy(matrix)
     for i, row in enumerate(a):
-        row.extend(Fraction(int(i == j)) for j in range(len(a)))
+        row.extend(int(i == j) for j in range(len(a)))
     m, _ = _integer_rows(a)
     if not _eliminate(m):
         raise SingularMatrixError("singular matrix")

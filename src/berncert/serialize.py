@@ -82,11 +82,14 @@ def form_to_json(form: BernsteinForm) -> dict:
 
 
 def form_from_json(obj) -> BernsteinForm:
+    """The form a ``form_to_json`` payload encodes; an index listed twice is a ValueError."""
     simplex = simplex_from_json(obj["simplex"])
-    coeffs = {
-        tuple(entry["index"]): rational_from_json(entry["value"])  # checked by the form
-        for entry in obj["coefficients"]
-    }
+    coeffs = {}
+    for entry in obj["coefficients"]:
+        index = tuple(entry["index"])  # checked by the form
+        if index in coeffs:
+            raise ValueError(f"coefficient index {list(index)} is listed twice")
+        coeffs[index] = rational_from_json(entry["value"])
     return BernsteinForm(barycentric_system(simplex), obj["degree"], coeffs)
 
 

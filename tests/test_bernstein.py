@@ -6,8 +6,10 @@ import pytest
 from berncert import (
     BernsteinForm,
     CertKind,
+    DegenerateSimplexError,
     DegreeTooLowError,
     Polynomial,
+    Simplex,
     bernstein_basis_polynomial,
     barycentric_system,
     cert_status,
@@ -85,6 +87,79 @@ def test_to_bernstein_above_the_polynomial_degree_matches_the_full_solve():
                 form = to_bernstein(p, system, degree)
                 assert form.degree == degree
                 assert form.coeffs == _solve_oracle(p, system, degree)
+
+
+def _poly_mul(a, b):
+    """Product of two {exponents: Fraction} maps, by plain convolution."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _homogenised_oracle(p, simplex, degree):
+    """The degree-d Bernstein coefficients by homogenisation, with no solve.
+
+    Substitutes x = sum_i lambda_i v_i, multiplies each degree-j monomial
+    by (lambda_0 + .. + lambda_n)^(d - j), and reads b_alpha as
+    c_alpha / multinomial(d, alpha) from the result sum c_alpha lambda^alpha.
+    Shares no code with ``to_bernstein``: no basis table, no
+    ``Polynomial`` product, no ``linalg``.
+    """
+    n = simplex.dimension
+    unit = [tuple(int(i == k) for i in range(n + 1)) for k in range(n + 1)]
+    one = {(0,) * (n + 1): Fraction(1)}
+    # x_k as a linear form in lambda, and lambda_0 + .. + lambda_n
+    xs = [
+        {unit[i]: v[k] for i, v in enumerate(simplex.vertices) if v[k]}
+        for k in range(n)
+    ]
+    total = {u: Fraction(1) for u in unit}
+    out = {}
+    for exps, c in p.terms.items():
+        term = {e: c for e in one}
+        for x, e in zip(xs, exps):
+            for _ in range(e):
+                term = _poly_mul(term, x)
+        for _ in range(degree - sum(exps)):
+            term = _poly_mul(term, total)
+        for e, v in term.items():
+            out[e] = out.get(e, 0) + v
+    return {a: c / multinomial(degree, a) for a, c in out.items() if c}
+
+
+def _rand_wide_simplex(rng, n):
+    """A random nondegenerate simplex whose coordinates have large denominators."""
+    while True:
+        vertices = [
+            [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**5)) for _ in range(n)]
+            for _ in range(n + 1)
+        ]
+        try:
+            return Simplex(vertices)
+        except DegenerateSimplexError:
+            continue
+
+
+def test_to_bernstein_matches_the_homogenised_oracle():
+    rng = random.Random(20261019)
+    for n in (1, 2, 3, 4):
+        for _ in range(3 if n < 4 else 2):
+            simplex = _rand_wide_simplex(rng, n)
+            system = barycentric_system(simplex)
+            polys = [
+                rand_polynomial(rng, num_vars=n, max_degree=4),
+                Polynomial.zero(n),
+                Polynomial.constant(n, Fraction(rng.randint(1, 10**6), 7919)),
+            ]
+            for p in polys:
+                # at deg P (the solve) and above it (the solve and the lift)
+                for degree in range(p.degree, p.degree + (2 if n < 4 else 1)):
+                    form = to_bernstein(p, system, degree)
+                    assert form.coeffs == _homogenised_oracle(p, simplex, degree)
+                    assert from_bernstein(form) == p
 
 
 def test_round_trip_on_random_simplices():

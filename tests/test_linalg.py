@@ -125,3 +125,34 @@ def test_non_square_rejected():
         solve(m, [1, 2])
     with pytest.raises(ValueError):
         invert(m)
+
+
+def test_integer_entries_match_fraction_entries():
+    rng = random.Random(29)
+    checked = 0
+    while checked < 12:
+        n = rng.randint(1, 5)
+        ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        fracs = [[Fraction(v) for v in row] for row in ints]
+        assert determinant(ints) == determinant(fracs)
+        if determinant(fracs) == 0:
+            continue
+        rhs = [rng.randint(-9, 9) for _ in range(n)]
+        assert solve(ints, rhs) == solve(fracs, [Fraction(v) for v in rhs])
+        # an int matrix against a Fraction right-hand side, as in the basis change
+        mixed = [rand_rational(rng) for _ in range(n)]
+        assert solve(ints, mixed) == solve(fracs, mixed)
+        assert invert(ints) == invert(fracs)
+        checked += 1
+
+
+def test_bool_and_float_entries_are_rejected():
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError):
+            determinant([[bad, 0], [0, 1]])
+        with pytest.raises(TypeError):
+            invert([[1, 0], [0, bad]])
+        with pytest.raises(TypeError):
+            solve([[1, bad], [0, 1]], [1, 1])
+        with pytest.raises(TypeError):
+            solve([[1, 0], [0, 1]], [1, bad])

@@ -7,9 +7,11 @@ import pytest
 from berncert import (
     CertifyConfig,
     Strategy,
+    Target,
     barycentric_system,
     certify,
     counterexample_polynomial,
+    parse_polynomial,
     standard_simplex,
     to_bernstein,
 )
@@ -26,6 +28,7 @@ from berncert.serialize import (
     tree_from_json,
     tree_to_json,
 )
+from berncert.certify import verify_tree
 from helpers import rand_polynomial, rand_simplex
 
 
@@ -68,6 +71,24 @@ def test_form_json_is_sorted_and_exact():
     values = {tuple(e["index"]): e["value"] for e in payload["coefficients"]}
     assert values[(1, 1, 2)] == -1
     assert values[(0, 0, 4)] == 30
+
+
+def test_repeated_coefficient_index_is_rejected():
+    # a repeated index used to keep its last entry, so a stray first entry
+    # left a tree that still verified
+    p = parse_polynomial("x1^2 + x2^2 + 1/10")
+    config = CertifyConfig(max_depth=1, target=Target.POSITIVE)
+    tree = certify(p, standard_simplex(2), config)
+    payload = tree_to_json(tree)
+    assert verify_tree(tree_from_json(payload)) is True
+    payload["coefficients"].insert(0, {"index": [0, 0, 2], "value": -7})
+    with pytest.raises(ValueError, match="listed twice"):
+        tree_from_json(payload)
+    form = to_bernstein(p, barycentric_system(standard_simplex(2)), 2)
+    encoded = form_to_json(form)
+    encoded["coefficients"].append(dict(encoded["coefficients"][0]))
+    with pytest.raises(ValueError, match="listed twice"):
+        form_from_json(encoded)
 
 
 def test_tree_round_trip():
