@@ -110,7 +110,6 @@ def _homogenised_oracle(p, simplex, degree):
     """
     n = simplex.dimension
     unit = [tuple(int(i == k) for i in range(n + 1)) for k in range(n + 1)]
-    one = {(0,) * (n + 1): Fraction(1)}
     # x_k as a linear form in lambda, and lambda_0 + .. + lambda_n
     xs = [
         {unit[i]: v[k] for i, v in enumerate(simplex.vertices) if v[k]}
@@ -119,7 +118,7 @@ def _homogenised_oracle(p, simplex, degree):
     total = {u: Fraction(1) for u in unit}
     out = {}
     for exps, c in p.terms.items():
-        term = {e: c for e in one}
+        term = {(0,) * (n + 1): c}
         for x, e in zip(xs, exps):
             for _ in range(e):
                 term = _poly_mul(term, x)
