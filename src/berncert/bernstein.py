@@ -10,29 +10,35 @@ are nonnegative on the simplex and sum to 1, the coefficient signs are
 certificates: all b_alpha > 0 proves P > 0 on the simplex, all >= 0
 proves P >= 0, and [min b, max b] encloses the range of P there.
 
+A form's working values are integers: ``nums`` maps each stored index
+to a nonzero int numerator over one positive denominator ``den``, which
+need not be reduced.  The kernels read and return that form and build
+no ``Fraction`` per coefficient; ``coeffs``, the ``Fraction`` mapping,
+is built on first read (JSON, the text report, tests), and equality
+cross-multiplies numerators.  ``Polynomial`` works the same way.
+
 ``to_bernstein`` (a linear solve) and ``from_bernstein`` (the sum above)
 read the same unscaled table {alpha: lambda^alpha}, built from the
 barycentric coordinates with one polynomial multiplication per index.
 ``to_bernstein`` solves at P's own degree k only, for the power-basis
 coefficients c_alpha of P = sum c_alpha * lambda^alpha: column alpha of
-the system is lambda^alpha's monomial coefficients as integers over the
-table's lcm denominator den, so ``linalg.solve`` eliminates an integer
-matrix against den * P, and b_alpha = c_alpha / multinomial(k, alpha)
-is applied after the solve.  A higher degree is reached by the closed
+the system is lambda^alpha's numerators over the table's lcm
+denominator den, so ``linalg.solve`` eliminates an integer matrix
+against den * P, and b_alpha = c_alpha / multinomial(k, alpha) is
+applied after the solve.  A higher degree is reached by the closed
 multi-step elevation of the c_alpha, which shares no code with
 ``degree_elevate`` (the search's stepwise rule), so a leaf check by
 ``to_bernstein`` does not trust the search's elevation.
-``from_bernstein`` sums b_alpha * multinomial(d, alpha) * lambda^alpha as
-integer numerators.  The kernels work on integers: a product convolves
-integer numerators over each factor's common denominator, the solve is
-``linalg``'s fraction-free elimination, and ``degree_elevate`` runs
-every step on the numerators over one denominator, so a Fraction is
-built once per output coefficient.  (Scaling the table by its
-multinomials before the solve, and reading its entries through
-``Polynomial.coefficient``, built 2.3x as many Fractions on the
-benchmark's ``verify`` workload: 64 969 against 28 017 per traced pass.)
-Kernel outputs are wrapped unchecked (``BernsteinForm._canonical``); the
-public constructor checks every index and value.
+``from_bernstein`` sums b_alpha * multinomial(d, alpha) * lambda^alpha on
+numerators.  ``degree_elevate`` runs every step on the numerators and
+multiplies the denominator by the new degree.  The only Fractions a
+conversion builds are the solve's solution entries.  (Building one
+Fraction per table term and per output coefficient, and taking them
+apart again at once, made 28 017 Fractions per traced pass of the
+benchmark's ``verify`` workload; reading the integer forms makes about
+6 500.)  Kernel outputs are wrapped unchecked
+(``BernsteinForm._canonical``); the public constructor checks every
+index and value.
 
 Forms store only nonzero coefficients; an absent index reads as 0 and
 implicit zeros count when classifying (they block a strict-positivity
@@ -44,7 +50,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Iterator, Mapping
 
 from . import linalg
@@ -55,6 +61,7 @@ from .polynomials import (
     grlex_key,
     multinomial,
     over_common_denominator,
+    same_values,
     vectors_with_sum,
 )
 from .simplices import BarycentricSystem
@@ -107,10 +114,13 @@ class BernsteinForm:
 
     ``coeffs`` maps multi-indices (length n+1, entries summing to d) to
     nonzero Fractions.  The mapping is total over the full index set with
-    absent indices reading as zero.
+    absent indices reading as zero.  ``den`` and ``nums`` hold the same
+    values as integer numerators over one positive denominator; the
+    kernels read and return that form, and ``coeffs`` is built from it on
+    first read.
     """
 
-    __slots__ = ("system", "degree", "coeffs")
+    __slots__ = ("system", "degree", "den", "nums", "_coeffs")
 
     def __init__(self, system: BarycentricSystem, degree: int, coeffs: Mapping):
         as_int(degree, "degree")
@@ -121,22 +131,37 @@ class BernsteinForm:
             v = as_rational(value)
             if v:
                 canon[index] = v
+        den, nums = over_common_denominator(canon.values())
+        self._set(system, degree, den, dict(zip(canon, nums)), canon)
+
+    def _set(self, system, degree, den, nums, coeffs) -> None:
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", canon)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     @classmethod
     def _canonical(
-        cls, system: BarycentricSystem, degree: int, coeffs: dict
+        cls, system: BarycentricSystem, degree: int, den: int, nums: dict
     ) -> "BernsteinForm":
-        """Wrap ``coeffs`` unchecked: it must already be canonical (valid
-        multi-indices of length n+1 summing to ``degree``, nonzero
-        Fractions), as the results of this module's kernels are."""
+        """Wrap ``nums`` / ``den`` unchecked: ``den`` must be a positive int
+        and ``nums`` map valid multi-indices of length n+1 summing to
+        ``degree`` to nonzero ints, as the results of this module's
+        kernels do."""
         self = object.__new__(cls)
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
+        self._set(system, degree, den, nums, None)
         return self
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], Fraction]:
+        """{index: nonzero Fraction}, built on first read."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            den = self.den
+            coeffs = {index: Fraction(v, den) for index, v in self.nums.items()}
+            object.__setattr__(self, "_coeffs", coeffs)
+        return coeffs
 
     def __setattr__(self, name, value):
         raise AttributeError("BernsteinForm is immutable")
@@ -147,7 +172,7 @@ class BernsteinForm:
 
     def coefficient(self, index: Iterable[int]) -> Fraction:
         index = _multi_index(index, self.simplex.dimension + 1, self.degree)
-        return self.coeffs.get(index, Fraction(0))
+        return Fraction(self.nums.get(index, 0), self.den)
 
     def indices(self) -> Iterator[tuple[int, ...]]:
         """The full index set, graded-lexicographic (here: lex) ascending."""
@@ -163,13 +188,13 @@ class BernsteinForm:
         return (
             self.simplex == other.simplex
             and self.degree == other.degree
-            and self.coeffs == other.coeffs
+            and same_values(self, other)
         )
 
     def __repr__(self):
         return (
             f"BernsteinForm(degree={self.degree}, simplex={self.simplex!r}, "
-            f"{len(self.coeffs)} nonzero coeffs)"
+            f"{len(self.nums)} nonzero coeffs)"
         )
 
 
@@ -204,7 +229,7 @@ def _basis(
     """
     n = system.simplex.dimension
     coords = system.coords
-    products = {(0,) * (n + 1): Polynomial.constant(n, 1)}
+    products = {(0,) * (n + 1): Polynomial._canonical(n, 1, {(0,) * n: 1})}
 
     def product(alpha: tuple[int, ...]) -> Polynomial:
         chain = []
@@ -220,19 +245,15 @@ def _basis(
     return {alpha: product(alpha) for alpha in alphas}
 
 
-def _table_denominator(table: dict[tuple[int, ...], Polynomial]) -> int:
-    """The lcm of every coefficient denominator in the table."""
-    return lcm(*(c.denominator for lam in table.values() for c in lam.terms.values()))
-
-
 def bernstein_basis_polynomial(
     system: BarycentricSystem, degree: int, alpha: Iterable[int]
 ) -> Polynomial:
     """B_alpha = multinomial(degree, alpha) * lambda^alpha as a Polynomial."""
     alpha = _multi_index(alpha, system.simplex.dimension + 1, degree)
     m = multinomial(degree, alpha)
-    terms = {e: m * c for e, c in _basis(system, (alpha,))[alpha].terms.items()}
-    return Polynomial._canonical(system.simplex.dimension, terms)
+    lam = _basis(system, (alpha,))[alpha]
+    nums = {e: m * c for e, c in lam.nums.items()}
+    return Polynomial._canonical(system.simplex.dimension, lam.den, nums)
 
 
 def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> BernsteinForm:
@@ -247,41 +268,42 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
 
     with M the multinomial (Farouki, CAGD 2012), on integer numerators
     over one common denominator; at d = k this is b_alpha = c_alpha / M(k, alpha).
-    The lift shares no code with ``degree_elevate``, the search's stepwise
-    rule, so ``verify_tree``'s leaf check stays independent of the
-    search's moves.  Raises DegreeTooLowError if degree < deg(p) (no
-    exact representation).
+    1 / M(d, gamma) is the integer prod(gamma_i!) over d!, so the form's
+    denominator is the solution's times d!.  The lift shares no code with
+    ``degree_elevate``, the search's stepwise rule, so ``verify_tree``'s
+    leaf check stays independent of the search's moves.  Raises
+    DegreeTooLowError if degree < deg(p) (no exact representation).
     """
     n = system.simplex.dimension
     if p.num_vars != n:
         raise ValueError(f"variable count mismatch: {p.num_vars} != {n}")
     if p.degree > as_int(degree, "degree"):
         raise DegreeTooLowError(required=p.degree, requested=degree)
-    power = _solve_at_degree(p, system, p.degree)
-    den, nums = over_common_denominator(power.values())
+    den, power = _solve_at_degree(p, system, p.degree)
     lift = degree - p.degree
     deltas = [(e, multinomial(lift, e)) for e in vectors_with_sum(n + 1, lift)]
     acc: dict[tuple[int, ...], int] = {}
-    for alpha, num in zip(power, nums):
+    for alpha, num in power.items():
         for delta, m in deltas:
             gamma = tuple(a + b for a, b in zip(alpha, delta))
             acc[gamma] = acc.get(gamma, 0) + num * m
-    coeffs = {
-        gamma: Fraction(acc[gamma], den * multinomial(degree, gamma))
+    nums = {
+        gamma: acc[gamma] * prod(map(factorial, gamma))
         for gamma in vectors_with_sum(n + 1, degree)
         if acc.get(gamma)
     }
-    return BernsteinForm._canonical(system, degree, coeffs)
+    return BernsteinForm._canonical(system, degree, den * factorial(degree), nums)
 
 
 def _solve_at_degree(
     p: Polynomial, system: BarycentricSystem, degree: int
-) -> dict[tuple[int, ...], Fraction]:
-    """{alpha: c_alpha}, nonzero, with p = sum of c_alpha * lambda^alpha over |alpha| = degree.
+) -> tuple[int, dict[tuple[int, ...], int]]:
+    """(D, {alpha: N_alpha}), nonzero, with p = sum of N_alpha / D * lambda^alpha over |alpha| = degree.
 
-    Column alpha of the system holds the monomial coefficients of
-    lambda^alpha as integers over the table's lcm denominator den, so
-    ``linalg.solve`` runs on an integer matrix against den * p.
+    Column alpha of the system holds the numerators of lambda^alpha over
+    the table's lcm denominator den, so ``linalg.solve`` runs on an
+    integer matrix against den * p.den * p, and D is p.den times the
+    solution's common denominator.
     """
     n = system.simplex.dimension
     alphas = list(vectors_with_sum(n + 1, degree))
@@ -290,35 +312,36 @@ def _solve_at_degree(
     assert len(alphas) == len(row)
 
     table = _basis(system, alphas)
-    den = _table_denominator(table)
+    den = lcm(*(lam.den for lam in table.values()))
     matrix = [[0] * len(alphas) for _ in alphas]
     for col, alpha in enumerate(alphas):
-        for e, c in table[alpha].terms.items():
-            matrix[row[e]][col] = c.numerator * (den // c.denominator)
+        lam = table[alpha]
+        scale = den // lam.den
+        for e, c in lam.nums.items():
+            matrix[row[e]][col] = c * scale
     rhs = [0] * len(alphas)
-    for e, c in p.terms.items():
+    for e, c in p.nums.items():
         rhs[row[e]] = c * den
-    solution = linalg.solve(matrix, rhs)
-    return {a: c for a, c in zip(alphas, solution) if c}
+    sol_den, sol = over_common_denominator(linalg.solve(matrix, rhs))
+    return sol_den * p.den, {a: c for a, c in zip(alphas, sol) if c}
 
 
 def from_bernstein(form: BernsteinForm) -> Polynomial:
     """Expand the form back into the monomial basis: sum of b_alpha * M(d, alpha) * lambda^alpha.
 
-    The sum runs on integer numerators over the product of the form's and
-    the table's lcm denominators, with one Fraction per output term.
+    The sum runs on integer numerators over the form's denominator times
+    the table's lcm denominator.
     """
-    table = _basis(form.system, form.coeffs)
-    den_t = _table_denominator(table)
-    den_b, nums = over_common_denominator(form.coeffs.values())
+    table = _basis(form.system, form.nums)
+    den_t = lcm(*(lam.den for lam in table.values()))
     acc: dict[tuple[int, ...], int] = {}
-    for (alpha, lam), num in zip(table.items(), nums):
-        weight = num * multinomial(form.degree, alpha)
-        for e, c in lam.terms.items():
-            acc[e] = acc.get(e, 0) + weight * c.numerator * (den_t // c.denominator)
-    den = den_b * den_t
-    terms = {e: Fraction(v, den) for e, v in acc.items() if v}
-    return Polynomial._canonical(form.simplex.dimension, terms)
+    for alpha, num in form.nums.items():
+        lam = table[alpha]
+        weight = num * multinomial(form.degree, alpha) * (den_t // lam.den)
+        for e, c in lam.nums.items():
+            acc[e] = acc.get(e, 0) + weight * c
+    nums = {e: v for e, v in acc.items() if v}
+    return Polynomial._canonical(form.simplex.dimension, form.den * den_t, nums)
 
 
 def degree_elevate(form: BernsteinForm, steps: int) -> BernsteinForm:
@@ -327,14 +350,14 @@ def degree_elevate(form: BernsteinForm, steps: int) -> BernsteinForm:
     One elevation step sends degree d to d+1 with
     b'_gamma = sum_i (gamma_i / (d+1)) * b_{gamma - e_i},
     applied ``steps`` times.  The represented polynomial is unchanged.
-    The steps run on integers: over the coefficients' lcm denominator D a
-    step is N'_gamma = sum_i gamma_i * N_{gamma - e_i} and multiplies D by
-    d+1, and each nonzero output becomes one Fraction at the end.
+    The steps run on the form's integer numerators: a step is
+    N'_gamma = sum_i gamma_i * N_{gamma - e_i} and multiplies the
+    denominator by d+1.
     """
     as_int(steps, "elevation steps", minimum=1)
     slots = form.simplex.dimension + 1
-    den, nums = over_common_denominator(form.coeffs.values())
-    acc = dict(zip(form.coeffs, nums))
+    acc = form.nums
+    den = form.den
     d = form.degree
     for _ in range(steps):
         nxt: dict[tuple[int, ...], int] = {}
@@ -345,25 +368,22 @@ def degree_elevate(form: BernsteinForm, steps: int) -> BernsteinForm:
         acc = nxt
         d += 1
         den *= d
-    coeffs = {gamma: Fraction(c, den) for gamma, c in acc.items() if c}
-    return BernsteinForm._canonical(form.system, d, coeffs)
+    nums = {gamma: c for gamma, c in acc.items() if c}
+    return BernsteinForm._canonical(form.system, d, den, nums)
 
 
 def cert_status(form: BernsteinForm) -> CertStatus:
-    """Classify by the stored (nonzero) coefficients; an index not stored is a zero."""
-    negatives = sorted(index for index, c in form.coeffs.items() if c < 0)
+    """Classify by the stored (nonzero) numerators; an index not stored is a zero."""
+    negatives = sorted(index for index, c in form.nums.items() if c < 0)
     if negatives:
         return CertStatus(CertKind.INDETERMINATE, tuple(negatives))
-    if len(form.coeffs) < comb(form.simplex.dimension + form.degree, form.degree):
+    if len(form.nums) < comb(form.simplex.dimension + form.degree, form.degree):
         return CertStatus(CertKind.NONNEGATIVE)
     return CertStatus(CertKind.POSITIVE)
 
 
 def enclosure_bound(form: BernsteinForm) -> tuple[Fraction, Fraction]:
     """(min, max) over the full coefficient set; bounds the range on the simplex."""
-    lo = hi = None
-    for index in form.indices():
-        c = form.coeffs.get(index, Fraction(0))
-        lo = c if lo is None or c < lo else lo
-        hi = c if hi is None or c > hi else hi
-    return lo, hi
+    nums = form.nums
+    values = [nums.get(index, 0) for index in form.indices()]
+    return Fraction(min(values), form.den), Fraction(max(values), form.den)

@@ -34,7 +34,7 @@ from .bernstein import (
     from_bernstein,
     to_bernstein,
 )
-from .polynomials import Polynomial, as_int, grlex_key
+from .polynomials import Polynomial, as_int, grlex_key, same_values
 from .simplices import Simplex, barycentric_system
 from .subdivision import edge_split_forms
 
@@ -165,7 +165,7 @@ def _longest_edge(simplex: Simplex) -> tuple[int, int]:
 def _most_negative(form: BernsteinForm, status: CertStatus) -> tuple[int, ...]:
     """Index of the most negative coefficient, graded-lex first on ties."""
     return min(
-        status.negative_indices, key=lambda idx: (form.coeffs[idx], grlex_key(idx))
+        status.negative_indices, key=lambda idx: (form.nums[idx], grlex_key(idx))
     )
 
 
@@ -303,10 +303,10 @@ def verify_tree(tree: CertificateTree) -> bool:
         for child, form in zip(node.children, replayed):
             if child.simplex != form.simplex or child.form.degree != form.degree:
                 raise MalformedTreeError("a child does not match its split record")
-            if child.form.coeffs != form.coeffs:
+            if not same_values(child.form, form):
                 return False
         if not node.children:
             expected = to_bernstein(root_poly, node.form.system, node.form.degree)
-            if expected.coeffs != node.form.coeffs:
+            if not same_values(expected, node.form):
                 return False
     return True

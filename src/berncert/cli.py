@@ -285,7 +285,7 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
             if leaf.status.negative_indices:
                 worst = _most_negative(leaf.form, leaf.status)
             else:  # nonnegative but not positive: show its first zero coefficient
-                worst = next(i for i in leaf.form.indices() if i not in leaf.form.coeffs)
+                worst = next(i for i in leaf.form.indices() if i not in leaf.form.nums)
             route = ".".join(str(step) for step in path) or "root"
             lines.append(
                 f"  path {route} degree {leaf.form.degree} simplex "

@@ -256,7 +256,7 @@ def _example1_rows() -> list[dict]:
 
 def _counterexample_rows(p: Polynomial, form: BernsteinForm) -> list[dict]:
     rows = [
-        _row("nonzero coefficient count", "5", str(len(form.coeffs))),
+        _row("nonzero coefficient count", "5", str(len(form.nums))),
         _row("P(0,0)", "0", str(p.evaluate((Fraction(0), Fraction(0))))),
     ]
     refs = {

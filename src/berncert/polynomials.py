@@ -1,9 +1,16 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial is an immutable mapping from exponent tuples to nonzero
-``Fraction`` coefficients.  Every operation is exact; floats are rejected
+rational coefficients.  Every operation is exact; floats are rejected
 at the boundary instead of silently coerced, so no rounding can creep in
 anywhere downstream.
+
+The working form is integer: a positive denominator ``den`` and a map
+``nums`` from each exponent tuple to a nonzero int numerator, not
+reduced against ``den``.  Sums, negation and products read and return
+that form (a product's denominator is the product of its factors'), so
+they build no ``Fraction``; ``terms``, the ``Fraction`` mapping, is
+built on first read and cached.  Equality cross-multiplies numerators.
 
 The text format is the one used throughout the CLI and the docs::
 
@@ -32,6 +39,7 @@ __all__ = [
     "as_int",
     "as_rational",
     "over_common_denominator",
+    "same_values",
     "parse_polynomial",
     "format_polynomial",
     "grlex_key",
@@ -83,6 +91,15 @@ def over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
+def same_values(a, b) -> bool:
+    """Whether two integer forms (``den`` and ``nums``) hold the same value at every key."""
+    an, bn = a.nums, b.nums
+    if an.keys() != bn.keys():
+        return False
+    da, db = a.den, b.den
+    return all(v * db == bn[k] * da for k, v in an.items())
+
+
 def grlex_key(exponents: tuple[int, ...]) -> tuple:
     """Sort key for graded-lexicographic order (total degree, then lex)."""
     return (sum(exponents), exponents)
@@ -115,11 +132,12 @@ class Polynomial:
 
     ``terms`` maps exponent tuples of length ``num_vars`` to nonzero
     Fractions; the zero polynomial has an empty mapping and degree 0.
-    Instances are value objects: operators return new polynomials and the
-    term mapping must not be mutated.
+    ``den`` and ``nums`` hold the same values as integer numerators over
+    one positive denominator.  Instances are value objects: operators
+    return new polynomials and neither mapping may be mutated.
     """
 
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars", "den", "nums", "_terms")
 
     def __init__(self, num_vars: int, terms: Mapping | Iterable = ()):
         as_int(num_vars, "num_vars", minimum=1)
@@ -140,8 +158,14 @@ class Polynomial:
                 canon[exps] = c
             elif exps in canon:
                 del canon[exps]
+        den, nums = over_common_denominator(canon.values())
+        self._set(num_vars, den, dict(zip(canon, nums)), canon)
+
+    def _set(self, num_vars, den, nums, terms) -> None:
         object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -149,14 +173,23 @@ class Polynomial:
     # --- constructors -------------------------------------------------
 
     @classmethod
-    def _canonical(cls, num_vars: int, terms: dict) -> "Polynomial":
-        """Wrap ``terms`` unchecked: it must already be canonical (valid
-        exponent tuples of length ``num_vars``, nonzero Fractions), as the
-        results of this class's own operations are."""
+    def _canonical(cls, num_vars: int, den: int, nums: dict) -> "Polynomial":
+        """Wrap ``nums`` / ``den`` unchecked: ``den`` must be a positive int
+        and ``nums`` map valid exponent tuples of length ``num_vars`` to
+        nonzero ints, as the results of this class's own operations do."""
         self = object.__new__(cls)
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "terms", terms)
+        self._set(num_vars, den, nums, None)
         return self
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """{exponents: nonzero Fraction}, built on first read."""
+        terms = self._terms
+        if terms is None:
+            den = self.den
+            terms = {e: Fraction(v, den) for e, v in self.nums.items()}
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     @classmethod
     def zero(cls, num_vars: int) -> "Polynomial":
@@ -179,14 +212,14 @@ class Polynomial:
     @property
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.nums), default=0)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.nums.get(tuple(exps), 0), self.den)
 
     def evaluate(self, point: Iterable[RationalLike]) -> Fraction:
         pt = [as_rational(v) for v in point]
@@ -218,27 +251,33 @@ class Polynomial:
         if isinstance(value, Polynomial):
             return value
         if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            return Polynomial.constant(num_vars, value)
+            nums = {(0,) * num_vars: value.numerator} if value else {}
+            return Polynomial._canonical(num_vars, value.denominator, nums)
         return None
 
     def __add__(self, other) -> "Polynomial":
+        """The sum, over the lcm of the two denominators."""
         other = self._coerce(other, self.num_vars)
         if other is None:
             return NotImplemented
         self._check_vars(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        out = {e: v * sa for e, v in self.nums.items()}
+        for e, v in other.nums.items():
+            s = out.get(e, 0) + v * sb
             if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
-        return Polynomial(self.num_vars, out)
+                out[e] = s
+            else:
+                del out[e]
+        return Polynomial._canonical(self.num_vars, den, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._canonical(
+            self.num_vars, self.den, {e: -v for e, v in self.nums.items()}
+        )
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other, self.num_vars)
@@ -253,22 +292,19 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        """The product, convolved on integer numerators over each operand's lcm denominator."""
+        """The product: the numerators convolved, over the product of the denominators."""
         other = self._coerce(other, self.num_vars)
         if other is None:
             return NotImplemented
         self._check_vars(other)
-        da, left = over_common_denominator(self.terms.values())
-        db, right = over_common_denominator(other.terms.values())
-        right = list(zip(other.terms, right))
+        right = other.nums.items()
         acc: dict[tuple[int, ...], int] = {}
-        for e1, c1 in zip(self.terms, left):
+        for e1, c1 in self.nums.items():
             for e2, c2 in right:
                 e = tuple(map(add, e1, e2))
                 acc[e] = acc.get(e, 0) + c1 * c2
-        den = da * db
-        out = {e: Fraction(v, den) for e, v in acc.items() if v}
-        return Polynomial._canonical(self.num_vars, out)
+        nums = {e: v for e, v in acc.items() if v}
+        return Polynomial._canonical(self.num_vars, self.den * other.den, nums)
 
     __rmul__ = __mul__
 
@@ -288,7 +324,7 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
+        return self.num_vars == other.num_vars and same_values(self, other)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.num_vars}, {format_polynomial(self)!r})"

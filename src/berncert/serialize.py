@@ -75,7 +75,7 @@ def form_to_json(form: BernsteinForm) -> dict:
         "degree": form.degree,
         "simplex": simplex_to_json(form.system.simplex),
         "coefficients": [
-            {"index": list(index), "value": rational_to_json(value)}
+            {"index": index, "value": rational_to_json(value)}
             for index, value in form.items_sorted()
         ],
     }
@@ -96,7 +96,7 @@ def form_from_json(obj) -> BernsteinForm:
 def status_to_json(status: CertStatus) -> dict:
     return {
         "kind": status.kind.value,
-        "negative_indices": [list(index) for index in status.negative_indices],
+        "negative_indices": list(status.negative_indices),
     }
 
 

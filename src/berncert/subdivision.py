@@ -19,11 +19,10 @@ their coefficients exactly, in any dimension, with one edge move each on
 the split edge's own slots; no slot is relabeled.
 
 The edge move is the search's per-node cost, so ``transfer_edge_v2``
-sums integer numerators over one common denominator and builds a
-Fraction only per nonzero output coefficient.  The children of an edge
-move or split are built without a new elimination: each takes its
-parent's determinant times the new vertex's barycentric weight on the
-vertex it replaces (``Simplex._replaced``).
+reads and returns the forms' integer numerators and builds no Fraction.
+The children of an edge move or split are built without a new
+elimination: each takes its parent's determinant times the new vertex's
+barycentric weight on the vertex it replaces (``Simplex._replaced``).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .polynomials import (
     as_int,
     as_rational,
     multinomial,
-    over_common_denominator,
     vectors_with_sum,
 )
 from .simplices import Simplex, barycentric_system
@@ -104,12 +102,12 @@ def transfer_edge_v2(
     b~_g = sum_{k=0}^{g_j} C(g_j, k) rho^(g_j-k) (1-rho)^k b_s,
     where s equals g except s_i = g_i + g_j - k and s_j = k.
 
-    The sum runs on integers: with the coefficients N_s / D over their
-    lcm denominator D and rho = p/q, b~_g is
-    sum_k C(g_j, k) p^(g_j-k) (q-p)^k N_s / (D q^(g_j)), one Fraction per
-    nonzero output.  The indices s of one sum differ only in slots i and
-    j, so the form is read once, line by line along the edge.  The child
-    simplex inherits the determinant times 1-rho, w's weight on v_j.
+    The sum runs on the form's integer numerators: with the coefficients
+    N_s / D and rho = p/q, b~_g is
+    sum_k q^(d-g_j) C(g_j, k) p^(g_j-k) (q-p)^k N_s over the child's
+    denominator D q^d.  The indices s of one sum differ only in slots i
+    and j, so the form is read once, line by line along the edge.  The
+    child simplex inherits the determinant times 1-rho, w's weight on v_j.
     """
     rho = as_rational(rho)
     _check_edge_ratio(rho)
@@ -120,15 +118,14 @@ def transfer_edge_v2(
     _check_edge(n, i, j)
     d = form.degree
     p, q = rho.numerator, rho.denominator
-    # weights[m][k] = q^m C(m, k) rho^(m-k) (1-rho)^k, built once for every index
+    # weights[m][k] = q^d C(m, k) rho^(m-k) (1-rho)^k, built once for every index
     weights = [
-        [comb(m, k) * p ** (m - k) * (q - p) ** k for k in range(m + 1)]
+        [q ** (d - m) * comb(m, k) * p ** (m - k) * (q - p) ** k for k in range(m + 1)]
         for m in range(d + 1)
     ]
-    den, nums = over_common_denominator(form.coeffs.values())
     # lines[rest][k] = N_s with s_j = k, over the s equal to rest off slots i and j
     lines: dict[tuple[int, ...], list[int]] = {}
-    for s, c in zip(form.coeffs, nums):
+    for s, c in form.nums.items():
         rest = list(s)
         rest[i] = rest[j] = 0
         rest = tuple(rest)
@@ -136,7 +133,7 @@ def transfer_edge_v2(
         if line is None:
             line = lines[rest] = [0] * (s[i] + s[j] + 1)
         line[s[j]] = c
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     for rest, line in lines.items():
         gamma = list(rest)
         top = len(line) - 1
@@ -144,11 +141,11 @@ def transfer_edge_v2(
             total = sum(map(mul, weights[m], line))
             if total:
                 gamma[i], gamma[j] = top - m, m
-                out[tuple(gamma)] = Fraction(total, den * q**m)
+                out[tuple(gamma)] = total
     vi, vj, stay = simplex.vertices[i], simplex.vertices[j], 1 - rho
     w = tuple(rho * a + stay * b for a, b in zip(vi, vj))
     child = simplex._replaced(j, w, stay)
-    return BernsteinForm._canonical(barycentric_system(child), d, out)
+    return BernsteinForm._canonical(barycentric_system(child), d, form.den * q**d, out)
 
 
 def transfer_vertex_v1(form: BernsteinForm, beta) -> BernsteinForm:

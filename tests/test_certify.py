@@ -33,7 +33,12 @@ from berncert import (
 )
 from berncert.bernstein import CertStatus
 from berncert.certify import _derive
-from berncert.serialize import tree_from_json, tree_to_json
+from berncert.serialize import (
+    canonical_dumps,
+    parse_json_exact,
+    tree_from_json,
+    tree_to_json,
+)
 from helpers import rand_point_in, rand_polynomial
 
 STD2 = standard_simplex(2)
@@ -343,6 +348,37 @@ def test_verify_tree_rejects_a_faulty_elevation_at_the_leaves(monkeypatch):
         assert isinstance(tree.split, Elevation)
         assert is_certified(tree, Target.POSITIVE)
         assert not verify_tree(tree)
+
+
+def _with_child(tree: CertificateTree, k: int, form: BernsteinForm) -> CertificateTree:
+    children = list(tree.children)
+    children[k] = CertificateTree(form, cert_status(form))
+    return replace(tree, children=tuple(children))
+
+
+def _json_round_trip(tree: CertificateTree) -> CertificateTree:
+    return tree_from_json(parse_json_exact(canonical_dumps(tree_to_json(tree))))
+
+
+def test_verify_tree_compares_exact_numerators_before_and_after_json():
+    tree = certify(split_demo_polynomial(), STD2, CertifyConfig(max_depth=1))
+    victim = tree.children[0].form
+    den, nums = victim.den, victim.nums
+    index = next(iter(nums))
+    spare = next(i for i in victim.indices() if i not in nums)
+    off_by_one = dict(nums)
+    off_by_one[index] += 1  # the value moves by 1 / den, the form's own denominator
+    extra = dict(nums)
+    extra[spare] = 1
+    for doctored in (off_by_one, extra):
+        form = BernsteinForm._canonical(victim.system, victim.degree, den, doctored)
+        assert cert_status(form) == tree.children[0].status  # only the values differ
+        tampered = _with_child(tree, 0, form)
+        assert not verify_tree(tampered)
+        assert not verify_tree(_json_round_trip(tampered))
+    assert verify_tree(tree)
+    parsed = _json_round_trip(tree)
+    assert parsed == tree and verify_tree(parsed)
 
 
 def test_verify_tree_detects_wrong_status():

@@ -8,6 +8,9 @@ moves: ``transfer_edge_v2`` against the full change of basis
 ``restrict_general``, ``degree_elevate`` against single steps, a
 per-term Fraction step and ``to_bernstein``, and every split child's
 inherited determinant against a fresh elimination of its vertices.
+The integer forms: the kernels build no ``Fraction`` (counted by
+patching ``Fraction.__new__``), and the ``Fraction`` mappings read from
+their unreduced numerators still equal the oracles.
 """
 
 import random
@@ -32,8 +35,10 @@ from berncert import (
     to_bernstein,
     transfer_edge_v2,
 )
+from berncert.bernstein import _basis, cert_status
 from berncert.polynomials import vectors_with_sum
-from helpers import rand_rational, rand_simplex
+from helpers import rand_polynomial, rand_rational, rand_simplex
+from test_bernstein import _homogenised_oracle, _solve_oracle
 
 BIG_DENOMINATORS = (1, 3, 2**61 - 1, 10**30 + 7, 2**40, 999_999_937)
 
@@ -391,3 +396,110 @@ def test_split_and_move_children_inherit_the_determinant():
                     assert type(child.determinant) is Fraction
                     assert child.determinant == fresh.determinant
                     assert child == fresh
+
+
+# --- integer forms ---------------------------------------------------------
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """One entry per Fraction built through ``Fraction.__new__`` while the test runs."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return built
+
+
+def test_kernels_build_no_fraction_on_integer_forms(fractions_built):
+    rng = random.Random(59)
+    cases = []
+    for n, degree in ((1, 4), (2, 3), (3, 2)):
+        p, q = _sparse_polynomial(rng, n, big=True), _sparse_polynomial(rng, n)
+        form = _rand_form(rng, n, degree, big=True)
+        form.system.coords  # solved on first read, outside the count
+        cases.append((p, q, form))
+    fractions_built.clear()
+    results = []
+    for p, q, form in cases:
+        results += [p * q, q * p, p * p, p * 3]
+        slots = form.simplex.dimension + 1
+        results.append(_basis(form.system, vectors_with_sum(slots, form.degree + 1)))
+        elevated = degree_elevate(form, 2)
+        results += [elevated, cert_status(form), cert_status(elevated)]
+    assert fractions_built == []
+    assert results[0].terms == _naive_product(*cases[0][:2])
+
+
+def test_edge_move_builds_fractions_only_for_the_child_simplex(fractions_built):
+    # the Fractions an edge move builds are the new vertex and determinant
+    # only: moving the zero form on the same edge builds as many
+    rng = random.Random(61)
+    for n, degree in ((1, 5), (2, 4), (3, 3)):
+        form = _rand_form(rng, n, degree, big=True)
+        zero = BernsteinForm(form.system, degree, {})
+        for i, j in _ordered_edges(n):
+            for rho in RHOS:
+                fractions_built.clear()
+                transfer_edge_v2(zero, rho, i, j)
+                geometry = len(fractions_built)
+                fractions_built.clear()
+                transfer_edge_v2(form, rho, i, j)
+                assert len(fractions_built) == geometry
+
+
+def test_unreduced_numerators_read_as_reduced_fractions():
+    x = Polynomial.variable(1, 0)
+    half_x = Polynomial(1, {(1,): Fraction(1, 2)})
+    got = half_x * (2 * x - 2)  # (x/2) (2x - 2) = x^2 - x, over the unreduced 2
+    assert got.den == 2 and got.nums == {(2,): 2, (1,): -2}
+    assert got.terms == {(2,): 1, (1,): -1} == _naive_product(half_x, 2 * x - 2)
+    assert all(c.denominator == 1 for c in got.terms.values())
+    assert got == x * x - x and got.coefficient((1,)).denominator == 1
+    cancelled = got - x * x + x
+    assert cancelled.is_zero and cancelled.terms == {} and cancelled == Polynomial.zero(1)
+
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        factors = [_sparse_polynomial(rng, n, big=rng.random() < 0.5) for _ in range(3)]
+        product, naive = factors[0], factors[0].terms
+        for f in factors[1:]:
+            naive = _naive_product(Polynomial(n, naive), f)
+            product = product * f
+            assert product.terms == naive
+            _assert_canonical(product)
+        assert (product - Polynomial(n, naive)).terms == {}
+
+
+def test_conversions_read_as_the_oracles():
+    rng = random.Random(71)
+    for n in (1, 2, 3):
+        simplex = rand_simplex(rng, n)
+        system = barycentric_system(simplex)
+        x = [Polynomial.variable(n, k) for k in range(n)]
+        polys = [
+            rand_polynomial(rng, num_vars=n, max_degree=3),
+            -rand_polynomial(rng, num_vars=n, max_degree=2),
+            x[0] * x[-1] - Fraction(1, 6) * x[0],
+        ]
+        for p in polys:
+            for degree in (p.degree, p.degree + 2):
+                form = to_bernstein(p, system, degree)
+                _assert_canonical_form(form)
+                assert form.coeffs == _solve_oracle(p, system, degree)
+                assert form.coeffs == _homogenised_oracle(p, simplex, degree)
+                back = from_bernstein(form)
+                _assert_canonical(back)
+                assert back.terms == p.terms
+    # x1 x2 on the standard triangle: every coefficient but b(0,1,1) cancels to zero
+    system = barycentric_system(Simplex(((0, 0), (1, 0), (0, 1))))
+    p = Polynomial.variable(2, 0) * Polynomial.variable(2, 1)
+    form = to_bernstein(p, system, 2)
+    assert form.coeffs == {(0, 1, 1): Fraction(1, 2)}
+    elevated = degree_elevate(form, 1)
+    assert elevated.coeffs == _solve_oracle(p, system, 3)
