@@ -194,19 +194,11 @@ def _root_form(args, on: Simplex | None = None) -> BernsteinForm:
     return to_bernstein(p, system, degree)
 
 
-def _render_vertex(vertex) -> str:
-    return "(" + ", ".join(str(x) for x in vertex) + ")"
-
-
-def _render_simplex(simplex: Simplex) -> str:
-    return "[" + ", ".join(_render_vertex(v) for v in simplex.vertices) + "]"
-
-
 def _render_form(form: BernsteinForm) -> str:
     items = form.items_sorted()
     lines = [
         f"degree: {form.degree}",
-        f"simplex: {_render_simplex(form.system.simplex)}",
+        f"simplex: {form.simplex}",
         f"nonzero coefficients: {len(items)}",
     ]
     for index, value in items:
@@ -289,7 +281,7 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
             route = ".".join(str(step) for step in path) or "root"
             lines.append(
                 f"  path {route} degree {leaf.form.degree} simplex "
-                f"{_render_simplex(leaf.simplex)}: b{worst} = "
+                f"{leaf.simplex}: b{worst} = "
                 f"{leaf.form.coefficient(worst)} "
                 f"({len(leaf.status.negative_indices)} negative)"
             )

@@ -8,6 +8,12 @@ family of corner-preserving simplices on which one coefficient stays
 negative no matter what — so no subdivision or elevation budget can ever
 produce a sign certificate for it.
 
+The paper's triangle lemmas are checked closed formulas of the study,
+not engine paths: ``transfer_vertex_v1`` moves v1, ``transfer_combined``
+also moves v2 toward v0 (the engine's edge move is
+``subdivision.transfer_edge_v2``).  They share one inner sum and build
+their triangle with the same checked builder as ``family_simplex``.
+
 ``reproduce_report`` re-derives all of those values with this engine and
 flags each row MATCH/MISMATCH against the reference values recorded from
 the original write-up.  One reference formula in the warm-up example is
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .bernstein import BernsteinForm, cert_status, to_bernstein
 from .certify import (
@@ -30,13 +37,15 @@ from .certify import (
     is_certified,
 )
 from .linalg import ldl_pivots
-from .polynomials import Polynomial, as_rational, parse_polynomial
-from .simplices import Simplex, barycentric_system, standard_simplex
-from .subdivision import (
-    _check_edge_ratio,
-    _check_vertex_weights,
-    transfer_combined,
+from .polynomials import (
+    Polynomial,
+    as_rational,
+    multinomial,
+    parse_polynomial,
+    vectors_with_sum,
 )
+from .simplices import Simplex, barycentric_system, standard_simplex
+from .subdivision import _check_edge_ratio
 
 __all__ = [
     "COUNTEREXAMPLE_TEXT",
@@ -53,6 +62,8 @@ __all__ = [
     "persistence_value",
     "vertex_weights_for",
     "family_simplex",
+    "transfer_vertex_v1",
+    "transfer_combined",
     "reproduce_report",
     "render_report",
 ]
@@ -101,6 +112,8 @@ class GramDecomposition:
 
     def __post_init__(self) -> None:
         n = len(self.monomial_vector)
+        if not n:
+            raise ValueError("empty monomial vector")
         matrix = tuple(
             tuple(as_rational(entry) for entry in row) for row in self.matrix
         )
@@ -132,8 +145,6 @@ def gram_polynomial(g: GramDecomposition) -> Polynomial:
 
 def verify_gram(p: Polynomial, g: GramDecomposition) -> bool:
     """True iff z^T M z equals p exactly."""
-    if not g.monomial_vector:
-        raise ValueError("empty monomial vector")
     return (gram_polynomial(g) - p).is_zero
 
 
@@ -169,15 +180,94 @@ def vertex_weights_for(beta1) -> tuple[Fraction, Fraction, Fraction]:
     return (side, beta1, side)
 
 
-def family_simplex(beta, rho) -> Simplex:
-    """The corner-preserving simplex (v0, beta-combination, (0, 1-rho))."""
-    beta = tuple(as_rational(w) for w in beta)
+def _check_vertex_weights(beta: tuple[Fraction, ...]) -> None:
+    if len(beta) != 3:
+        raise ValueError(f"vertex weights need 3 entries, got {len(beta)}")
+    if sum(beta) != 1:
+        raise ValueError(f"vertex weights must sum to 1, got {beta}")
+    if beta[0] < 0 or beta[2] < 0 or beta[1] <= 0:
+        raise ValueError(
+            f"vertex weights need beta0 >= 0, beta2 >= 0, beta1 > 0, got {beta}"
+        )
+
+
+def _moved_triangle(simplex: Simplex, beta, rho) -> tuple[Simplex, tuple, Fraction]:
+    """The checked triangle (v0, beta0*v0 + beta1*v1 + beta2*v2, rho*v0 + (1-rho)*v2),
+    with beta and rho as Fractions; beta1 > 0 and rho < 1 keep it nondegenerate."""
+    if simplex.dimension != 2:
+        raise ValueError(
+            f"closed-form transfers are defined for 2-simplices, got dimension "
+            f"{simplex.dimension}"
+        )
+    beta = tuple(as_rational(b) for b in beta)
     rho = as_rational(rho)
     _check_vertex_weights(beta)
     _check_edge_ratio(rho)
-    _, b1, b2 = beta
-    zero = Fraction(0)
-    return Simplex(((zero, zero), (b1, b2), (zero, 1 - rho)))
+    v0, v1, v2 = simplex.vertices
+    b0, b1, b2 = beta
+    w1 = tuple(b0 * x + b1 * y + b2 * z for x, y, z in zip(v0, v1, v2))
+    return Simplex((v0, w1, v2))._moved(2, 0, rho), beta, rho
+
+
+def family_simplex(beta, rho) -> Simplex:
+    """The corner-preserving simplex (v0, beta-combination, (0, 1-rho))."""
+    return _moved_triangle(standard_simplex(2), beta, rho)[0]
+
+
+def _vertex_sum(coeffs: dict, beta, s: tuple[int, int, int]) -> Fraction:
+    """The inner sum of both triangle lemmas, over |a| = d with a0 >= s0, a2 >= s2:
+    s1! / ((a0-s0)! a1! (a2-s2)!) beta0^(a0-s0) beta1^a1 beta2^(a2-s2) b_a.
+    """
+    b0, b1, b2 = beta
+    s0, s1, s2 = s
+    total = Fraction(0)
+    for (a0, a1, a2), b in coeffs.items():
+        if a0 < s0 or a2 < s2:
+            continue
+        weight = multinomial(s1, (a0 - s0, a1, a2 - s2))
+        total += weight * b0 ** (a0 - s0) * b1**a1 * b2 ** (a2 - s2) * b
+    return total
+
+
+def transfer_vertex_v1(form: BernsteinForm, beta) -> BernsteinForm:
+    """Move v1 of a triangle to w1 = beta0*v0 + beta1*v1 + beta2*v2.
+
+    Requires beta0, beta2 >= 0 and beta1 > 0 (so the triangle stays
+    nondegenerate).  New coefficients:
+    b~_g = sum over |a| = d with a0 >= g0, a2 >= g2 of
+           g1! / ((a0-g0)! a1! (a2-g2)!) beta0^(a0-g0) beta1^a1 beta2^(a2-g2) b_a
+    """
+    simplex, beta, _ = _moved_triangle(form.simplex, beta, 0)
+    coeffs = form.coeffs
+    out = {g: _vertex_sum(coeffs, beta, g) for g in vectors_with_sum(3, form.degree)}
+    return BernsteinForm(barycentric_system(simplex), form.degree, out)
+
+
+def transfer_combined(form: BernsteinForm, beta, rho) -> BernsteinForm:
+    """Move v1 of a triangle to w1 = beta0*v0 + beta1*v1 + beta2*v2 and v2
+    to w2 = rho*v0 + (1-rho)*v2 in one step.
+
+    Implemented directly as the double sum
+
+    b~_g = sum_{k=0}^{g2} C(g2, g2-k) rho^(g2-k) (1-rho)^k *
+           sum over |a| = d with a0 >= g0+g2-k, a2 >= k of
+               g1! / ((a0-(g0+g2-k))! a1! (a2-k)!) *
+               beta0^(a0-(g0+g2-k)) beta1^a1 beta2^(a2-k) b_a
+
+    (its equality with the composition of the two single transfers is a
+    test, not the implementation).
+    """
+    simplex, beta, rho = _moved_triangle(form.simplex, beta, rho)
+    coeffs = form.coeffs
+    out = {}
+    for g0, g1, g2 in vectors_with_sum(3, form.degree):
+        total = Fraction(0)
+        for k in range(g2 + 1):
+            inner = _vertex_sum(coeffs, beta, (g0 + g2 - k, g1, k))
+            if inner:
+                total += comb(g2, g2 - k) * rho ** (g2 - k) * (1 - rho) ** k * inner
+        out[g0, g1, g2] = total
+    return BernsteinForm(barycentric_system(simplex), form.degree, out)
 
 
 _THETAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))

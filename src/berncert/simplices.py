@@ -7,11 +7,11 @@ delta_ij and sum(lambda_i) = 1, which are solved on first read: forms
 derived by closed-form transfers never need them.  A point lies in the
 (closed) simplex iff all its barycentric coordinates are >= 0.
 
-Replacing a vertex v_j by a point whose barycentric weight on v_j is
-mu > 0 multiplies the edge-matrix determinant by mu, so the children of
-an edge move or split (``subdivision``) inherit their parent's
-determinant instead of running a new elimination; every other simplex,
-including every one read from JSON, is checked in full.
+The edge-move geometry lives here: ``Simplex._moved(j, i, rho)`` moves
+v_j to w = rho*v_i + (1-rho)*v_j and gives the child its parent's
+determinant times 1-rho, w's weight on v_j, so the children of an edge
+move or split (``subdivision``) run no new elimination; every other
+simplex, including every one read from JSON, is checked in full.
 """
 
 from __future__ import annotations
@@ -76,18 +76,19 @@ class Simplex:
         vs[slot] = tuple(as_rational(c) for c in point)
         return Simplex(vs)
 
-    def _replaced(self, slot: int, point: tuple, weight: Fraction) -> "Simplex":
-        """The simplex with ``point`` in ``slot``, built unchecked.
+    def _moved(self, j: int, i: int, rho: Fraction) -> "Simplex":
+        """The simplex with v_j moved to w = rho*v_i + (1-rho)*v_j, built unchecked.
 
-        ``point`` must be a tuple of Fractions whose barycentric weight on
-        the replaced vertex is ``weight`` > 0, so the determinant is the
-        parent's times ``weight`` and the child is nondegenerate.
+        ``rho`` must be a Fraction with 0 <= rho < 1 and i != j; w's weight
+        on v_j is then 1-rho > 0, so the determinant is the parent's times
+        1-rho and the child is nondegenerate.
         """
+        stay = 1 - rho
         vs = list(self.vertices)
-        vs[slot] = point
+        vs[j] = tuple(rho * a + stay * b for a, b in zip(vs[i], vs[j]))
         child = object.__new__(Simplex)
         object.__setattr__(child, "vertices", tuple(vs))
-        object.__setattr__(child, "determinant", self.determinant * weight)
+        object.__setattr__(child, "determinant", self.determinant * stay)
         return child
 
     def __eq__(self, other):
@@ -98,9 +99,12 @@ class Simplex:
     def __hash__(self):
         return hash(self.vertices)
 
+    def __str__(self):
+        pts = (f"({', '.join(map(str, v))})" for v in self.vertices)
+        return f"[{', '.join(pts)}]"
+
     def __repr__(self):
-        pts = ", ".join("(" + ", ".join(str(c) for c in v) + ")" for v in self.vertices)
-        return f"Simplex[{pts}]"
+        return f"Simplex{self}"
 
 
 def standard_simplex(n: int) -> Simplex:

@@ -267,6 +267,13 @@ def test_paper_json(capsys):
     assert len(report["persistence"]["rows"]) == 17
 
 
+def test_paper_json_bytes_are_pinned(capsys):
+    # the study's recorded output: any changed byte of `paper --json` fails here
+    _, out, _ = run(capsys, "paper", "--json")
+    digest = hashlib.sha256(out.rstrip("\n").encode()).hexdigest()
+    assert digest == "eb7a0fdf4f9532a7411411f730beac6e76ff0c119cd11bba657ad876ffe8f8a1"
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

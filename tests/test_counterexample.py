@@ -95,6 +95,11 @@ def test_gram_decomposition_validation():
         )  # not symmetric
 
 
+def test_gram_decomposition_rejects_an_empty_monomial_vector():
+    with pytest.raises(ValueError, match="empty monomial vector"):
+        GramDecomposition((), ())
+
+
 def test_is_positive_definite_cases():
     assert is_positive_definite([[1, 0], [0, 1]])
     assert not is_positive_definite([[1, 0], [0, -1]])

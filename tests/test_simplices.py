@@ -10,7 +10,7 @@ from berncert import (
     barycentric_system,
     standard_simplex,
 )
-from helpers import rand_point_in, rand_simplex
+from helpers import rand_edge_ratio, rand_point_in, rand_simplex
 
 
 def test_standard_simplex():
@@ -50,6 +50,27 @@ def test_replace_vertex():
     for slot in (True, 1.0):  # a bool would replace slot 1
         with pytest.raises(ValueError):
             s.replace_vertex(slot, (Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_edge_move_point_and_determinant():
+    rng = random.Random(2301)
+    for n in (1, 2, 3):
+        for _ in range(5):
+            s = rand_simplex(rng, n)
+            i, j = rng.sample(range(n + 1), 2)
+            rho = rand_edge_ratio(rng)
+            moved = s._moved(j, i, rho)
+            vi, vj = s.vertices[i], s.vertices[j]
+            w = tuple(rho * a + (1 - rho) * b for a, b in zip(vi, vj))
+            assert moved.vertices == s.replace_vertex(j, w).vertices
+            # the inherited determinant equals a full elimination's
+            assert moved.determinant == Simplex(moved.vertices).determinant
+
+
+def test_text_form():
+    s = Simplex(((0, 0), (1, 0), (Fraction(-1, 2), 3)))
+    assert str(s) == "[(0, 0), (1, 0), (-1/2, 3)]"
+    assert repr(s) == "Simplex[(0, 0), (1, 0), (-1/2, 3)]"
 
 
 def test_barycentric_coordinates_at_vertices():
