@@ -14,8 +14,9 @@ A form's working values are integers: ``nums`` maps each stored index
 to a nonzero int numerator over one positive denominator ``den``, which
 need not be reduced.  The kernels read and return that form and build
 no ``Fraction`` per coefficient; ``coeffs``, the ``Fraction`` mapping,
-is built on first read (JSON, the text report, tests), and equality
-cross-multiplies numerators.  ``Polynomial`` works the same way.
+is built on first read (the text report, tests; JSON reads ``nums``),
+and equality cross-multiplies numerators.  ``Polynomial`` and
+``Simplex`` work the same way.
 
 ``to_bernstein`` (a linear solve) and ``from_bernstein`` (the sum above)
 read the same unscaled table {alpha: lambda^alpha}, built from the
@@ -32,13 +33,9 @@ multi-step elevation of the c_alpha, which shares no code with
 ``from_bernstein`` sums b_alpha * multinomial(d, alpha) * lambda^alpha on
 numerators.  ``degree_elevate`` runs every step on the numerators and
 multiplies the denominator by the new degree.  The only Fractions a
-conversion builds are the solve's solution entries.  (Building one
-Fraction per table term and per output coefficient, and taking them
-apart again at once, made 28 017 Fractions per traced pass of the
-benchmark's ``verify`` workload; reading the integer forms makes about
-6 500.)  Kernel outputs are wrapped unchecked
-(``BernsteinForm._canonical``); the public constructor checks every
-index and value.
+conversion builds are the solve's solution entries.  Kernel outputs are
+wrapped unchecked (``BernsteinForm._canonical``); the public
+constructor checks every index and value.
 
 Forms store only nonzero coefficients; an absent index reads as 0 and
 implicit zeros count when classifying (they block a strict-positivity

@@ -147,14 +147,14 @@ class MalformedTreeError(ValueError):
     """Tree structure is inconsistent (children do not match the split record)."""
 
 
-def _edge_lengths(simplex: Simplex) -> list[tuple[Fraction, int, int]]:
-    out = []
-    verts = simplex.vertices
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            sq = sum((a - b) ** 2 for a, b in zip(verts[i], verts[j]))
-            out.append((sq, i, j))
-    return out
+def _edge_lengths(simplex: Simplex) -> list[tuple[int, int, int]]:
+    """(squared length times den^2, i, j) per edge: ints that order as the lengths do."""
+    verts = simplex.nums
+    return [
+        (sum((a - b) ** 2 for a, b in zip(verts[i], verts[j])), i, j)
+        for i in range(len(verts))
+        for j in range(i + 1, len(verts))
+    ]
 
 
 def _longest_edge(simplex: Simplex) -> tuple[int, int]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .bernstein import BernsteinForm, cert_status, to_bernstein
 from .certify import (
@@ -41,11 +40,12 @@ from .polynomials import (
     Polynomial,
     as_rational,
     multinomial,
+    over_common_denominator,
     parse_polynomial,
     vectors_with_sum,
 )
 from .simplices import Simplex, barycentric_system, standard_simplex
-from .subdivision import _check_edge_ratio
+from .subdivision import _check_edge_ratio, _edge_weights
 
 __all__ = [
     "COUNTEREXAMPLE_TEXT",
@@ -214,40 +214,52 @@ def family_simplex(beta, rho) -> Simplex:
     return _moved_triangle(standard_simplex(2), beta, rho)[0]
 
 
-def _vertex_sum(coeffs: dict, beta, s: tuple[int, int, int]) -> Fraction:
+def _vertex_weights(beta, degree: int) -> tuple[int, dict]:
+    """(Q, W) with beta = B / Q over one denominator and, for x + y + z <= degree,
+    W[x, y, z] = (x+y+z)! / (x! y! z!) B0^x B1^y B2^z: built once per transfer."""
+    den, (b0, b1, b2) = over_common_denominator(beta)
+    return den, {
+        (x, y, z): multinomial(t, (x, y, z)) * b0**x * b1**y * b2**z
+        for t in range(degree + 1)
+        for x, y, z in vectors_with_sum(3, t)
+    }
+
+
+def _vertex_sum(nums: dict, weights: dict, s: tuple[int, int, int]) -> int:
     """The inner sum of both triangle lemmas, over |a| = d with a0 >= s0, a2 >= s2:
-    s1! / ((a0-s0)! a1! (a2-s2)!) beta0^(a0-s0) beta1^a1 beta2^(a2-s2) b_a.
+    s1! / ((a0-s0)! a1! (a2-s2)!) beta0^(a0-s0) beta1^a1 beta2^(a2-s2) b_a,
+    on numerators: the value times Q^s1 and the form's denominator.
     """
-    b0, b1, b2 = beta
-    s0, s1, s2 = s
-    total = Fraction(0)
-    for (a0, a1, a2), b in coeffs.items():
-        if a0 < s0 or a2 < s2:
-            continue
-        weight = multinomial(s1, (a0 - s0, a1, a2 - s2))
-        total += weight * b0 ** (a0 - s0) * b1**a1 * b2 ** (a2 - s2) * b
-    return total
+    s0, _, s2 = s
+    return sum(
+        weights[a0 - s0, a1, a2 - s2] * c
+        for (a0, a1, a2), c in nums.items()
+        if a0 >= s0 and a2 >= s2
+    )
 
 
 def transfer_vertex_v1(form: BernsteinForm, beta) -> BernsteinForm:
     """Move v1 of a triangle to w1 = beta0*v0 + beta1*v1 + beta2*v2.
 
     Requires beta0, beta2 >= 0 and beta1 > 0 (so the triangle stays
-    nondegenerate).  New coefficients:
+    nondegenerate).  New coefficients, over the form's denominator times Q^d:
     b~_g = sum over |a| = d with a0 >= g0, a2 >= g2 of
            g1! / ((a0-g0)! a1! (a2-g2)!) beta0^(a0-g0) beta1^a1 beta2^(a2-g2) b_a
     """
     simplex, beta, _ = _moved_triangle(form.simplex, beta, 0)
-    coeffs = form.coeffs
-    out = {g: _vertex_sum(coeffs, beta, g) for g in vectors_with_sum(3, form.degree)}
-    return BernsteinForm(barycentric_system(simplex), form.degree, out)
+    d = form.degree
+    den, weights = _vertex_weights(beta, d)
+    sums = {g: _vertex_sum(form.nums, weights, g) for g in vectors_with_sum(3, d)}
+    out = {g: v * den ** (d - g[1]) for g, v in sums.items() if v}
+    return BernsteinForm._canonical(barycentric_system(simplex), d, form.den * den**d, out)
 
 
 def transfer_combined(form: BernsteinForm, beta, rho) -> BernsteinForm:
     """Move v1 of a triangle to w1 = beta0*v0 + beta1*v1 + beta2*v2 and v2
     to w2 = rho*v0 + (1-rho)*v2 in one step.
 
-    Implemented directly as the double sum
+    Implemented directly as the double sum, over the form's denominator
+    times (Q q)^d for rho = p/q:
 
     b~_g = sum_{k=0}^{g2} C(g2, g2-k) rho^(g2-k) (1-rho)^k *
            sum over |a| = d with a0 >= g0+g2-k, a2 >= k of
@@ -258,16 +270,20 @@ def transfer_combined(form: BernsteinForm, beta, rho) -> BernsteinForm:
     test, not the implementation).
     """
     simplex, beta, rho = _moved_triangle(form.simplex, beta, rho)
-    coeffs = form.coeffs
+    d = form.degree
+    den, weights = _vertex_weights(beta, d)
+    q = rho.denominator
+    edge = _edge_weights(rho.numerator, q, d)  # q^d C(m, k) rho^(m-k) (1-rho)^k
     out = {}
-    for g0, g1, g2 in vectors_with_sum(3, form.degree):
-        total = Fraction(0)
-        for k in range(g2 + 1):
-            inner = _vertex_sum(coeffs, beta, (g0 + g2 - k, g1, k))
-            if inner:
-                total += comb(g2, g2 - k) * rho ** (g2 - k) * (1 - rho) ** k * inner
-        out[g0, g1, g2] = total
-    return BernsteinForm(barycentric_system(simplex), form.degree, out)
+    for g0, g1, g2 in vectors_with_sum(3, d):
+        total = sum(
+            w * _vertex_sum(form.nums, weights, (g0 + g2 - k, g1, k))
+            for k, w in enumerate(edge[g2])
+        )
+        if total:
+            out[g0, g1, g2] = total * den ** (d - g1)
+    system = barycentric_system(simplex)
+    return BernsteinForm._canonical(system, d, form.den * (den * q) ** d, out)
 
 
 _THETAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))

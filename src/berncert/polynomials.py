@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -337,91 +337,77 @@ class Polynomial:
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<number>\d+(?:\.\d+)?)
+      (?P<space>\s+)
+    | (?P<number>\d+(?:\.\d+)?)
     | (?P<var>x\d+)
     | (?P<op>[\^*/+-])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
+    """(kind, text) per token in one regex pass, last token first; whitespace is dropped."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PolynomialParseError(
-                f"unexpected character {text[pos]!r} at position {pos}"
-            )
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group()))
-        pos = m.end()
+        if kind == "bad":
+            raise PolynomialParseError(
+                f"unexpected character {m.group()!r} at position {m.start()}"
+            )
+        if kind != "space":
+            tokens.append((kind, m.group()))
+    tokens.reverse()
     return tokens
 
 
-class _TokenStream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, "")
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    @property
-    def done(self):
-        return self.pos >= len(self.tokens)
+_SIGNS = {("op", "+"): 1, ("op", "-"): -1}
 
 
-def _parse_number(ts: _TokenStream) -> Fraction:
-    kind, text = ts.take()
+def _parse_number(tokens: list) -> tuple[int, int]:
+    """(numerator, positive denominator) of a coefficient literal, as ints."""
+    kind, text = tokens.pop() if tokens else (None, "")
     if kind != "number":
         raise PolynomialParseError(f"expected a number, got {text!r}")
-    if ts.peek() == ("op", "/"):
-        ts.take()
-        dkind, dtext = ts.take()
+    if tokens[-1:] == [("op", "/")]:
+        tokens.pop()
+        dkind, dtext = tokens.pop() if tokens else (None, "")
         if dkind != "number" or "." in text or "." in dtext:
             raise PolynomialParseError("p/q coefficients need integer p and q")
         if int(dtext) == 0:
             raise PolynomialParseError("zero denominator")
-        return Fraction(int(text), int(dtext))
-    return Fraction(text)  # exact: "0.25" -> 1/4
+        return int(text), int(dtext)
+    whole, _, decimals = text.partition(".")  # exact: "0.25" -> 25/100
+    return int(whole + decimals), 10 ** len(decimals)
 
 
-def _parse_term(ts: _TokenStream) -> tuple[Fraction, dict[int, int]]:
-    coeff = Fraction(1)
+def _parse_term(tokens: list) -> tuple[int, int, dict[int, int]]:
+    num = den = 1
     powers: dict[int, int] = {}
     while True:
-        kind, text = ts.peek()
+        kind, text = tokens[-1] if tokens else (None, "")
         if kind == "number":
-            coeff *= _parse_number(ts)
+            n, d = _parse_number(tokens)
+            num, den = num * n, den * d
         elif kind == "var":
-            ts.take()
+            tokens.pop()
             index = int(text[1:])
             if index < 1:
                 raise PolynomialParseError(f"variables are x1, x2, ...; got {text!r}")
             exp = 1
-            if ts.peek() == ("op", "^"):
-                ts.take()
-                ekind, etext = ts.take()
+            if tokens[-1:] == [("op", "^")]:
+                tokens.pop()
+                ekind, etext = tokens.pop() if tokens else (None, "")
                 if ekind != "number" or "." in etext:
                     raise PolynomialParseError(f"exponent must be an integer, got {etext!r}")
                 exp = int(etext)
             powers[index - 1] = powers.get(index - 1, 0) + exp
         else:
             raise PolynomialParseError(f"expected a coefficient or variable, got {text!r}")
-        if ts.peek() == ("op", "*"):
-            ts.take()
-            continue
-        return coeff, powers
+        if tokens[-1:] != [("op", "*")]:
+            return num, den, powers
+        tokens.pop()
 
 
 def parse_polynomial(text: str, num_vars: int | None = None) -> Polynomial:
@@ -429,44 +415,42 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> Polynomial:
 
     With ``num_vars=None`` the variable count is inferred from the highest
     variable index mentioned (at least 1).  Referencing a variable beyond
-    an explicit ``num_vars`` is an error.
+    an explicit ``num_vars`` is an error.  The terms are summed as int
+    numerators over their lcm denominator, reduced once at the end.
     """
-    ts = _TokenStream(_tokenize(text))
-    if ts.done:
+    tokens = _tokenize(text)
+    if not tokens:
         raise PolynomialParseError("empty polynomial text")
-    parsed: list[tuple[Fraction, dict[int, int]]] = []
-    sign = 1
-    kind, t = ts.peek()
-    if (kind, t) in (("op", "+"), ("op", "-")):
-        ts.take()
-        sign = -1 if t == "-" else 1
+    parsed: list[tuple[int, int, dict[int, int]]] = []
+    sign = _SIGNS[tokens.pop()] if tokens[-1] in _SIGNS else 1
     while True:
-        coeff, powers = _parse_term(ts)
-        parsed.append((sign * coeff, powers))
-        if ts.done:
+        num, den, powers = _parse_term(tokens)
+        parsed.append((sign * num, den, powers))
+        if not tokens:
             break
-        kind, t = ts.take()
-        if (kind, t) == ("op", "+"):
-            sign = 1
-        elif (kind, t) == ("op", "-"):
-            sign = -1
-        else:
-            raise PolynomialParseError(f"expected '+' or '-' between terms, got {t!r}")
-        if ts.done:
+        token = tokens.pop()
+        if token not in _SIGNS:
+            raise PolynomialParseError(f"expected '+' or '-' between terms, got {token[1]!r}")
+        sign = _SIGNS[token]
+        if not tokens:
             raise PolynomialParseError("dangling sign at end of input")
 
-    highest = max((max(p) + 1 for _, p in parsed if p), default=0)
+    highest = max((max(p) + 1 for _, _, p in parsed if p), default=0)
     if num_vars is None:
         num_vars = max(highest, 1)
     elif highest > num_vars:
         raise PolynomialParseError(
             f"variable x{highest} used but only {num_vars} variable(s) declared"
         )
-    terms = []
-    for coeff, powers in parsed:
+    as_int(num_vars, "num_vars", minimum=1)
+    den = lcm(*(d for _, d, _ in parsed))
+    acc: dict[tuple[int, ...], int] = {}
+    for num, d, powers in parsed:
         exps = tuple(powers.get(i, 0) for i in range(num_vars))
-        terms.append((exps, coeff))
-    return Polynomial(num_vars, terms)
+        acc[exps] = acc.get(exps, 0) + num * (den // d)
+    g = gcd(den, *acc.values())
+    nums = {e: v // g for e, v in acc.items() if v}
+    return Polynomial._canonical(num_vars, den // g, nums)
 
 
 def format_polynomial(p: Polynomial) -> str:

@@ -6,15 +6,23 @@ iterate in sorted (graded-lex) order and ``canonical_dumps`` fixes the
 byte layout, which is what makes runs reproducible and digest-stable.
 Decoders require an int wherever one is stored; its range is checked
 by the form it builds or by ``verify_tree``'s replay.
+
+Simplices and forms are written and read in their integer form: each
+value is reduced with one gcd on the way out, and an int or "p/q"
+literal is read as ints on the way in, so no node builds a ``Fraction``.
+Any other literal goes through ``rational_from_json``, so the accepted
+language and every check are those of the public constructors.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
+from math import gcd, lcm
 
-from .bernstein import BernsteinForm, CertKind, CertStatus
+from .bernstein import BernsteinForm, CertKind, CertStatus, _multi_index
 from .certify import CertificateTree, EdgeSplit, Elevation
 from .polynomials import as_int, as_rational
 from .simplices import Simplex, barycentric_system
@@ -40,9 +48,15 @@ __all__ = [
 
 def rational_to_json(value: Fraction):
     value = as_rational(value)
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    return _ratio_to_json(value.numerator, value.denominator)
+
+
+def _ratio_to_json(num: int, den: int):
+    """``rational_to_json(Fraction(num, den))`` for a positive int ``den``, with one gcd."""
+    g = gcd(num, den)
+    if g == den:
+        return num // den
+    return f"{num // g}/{den // g}"
 
 
 def rational_from_json(value) -> Fraction:
@@ -52,12 +66,23 @@ def rational_from_json(value) -> Fraction:
     return as_rational(value)
 
 
+_QUOTIENT = re.compile(r"(-?[0-9]+)/([0-9]+)")  # a subset of what Fraction reads
+
+
+def _ratio_from_json(value) -> tuple[int, int]:
+    """(numerator, positive denominator) of ``rational_from_json(value)``, its errors included."""
+    if type(value) is int:
+        return value, 1
+    match = _QUOTIENT.fullmatch(value) if type(value) is str else None
+    if match and int(match[2]):
+        return int(match[1]), int(match[2])
+    value = rational_from_json(value)
+    return value.numerator, value.denominator
+
+
 def simplex_to_json(simplex: Simplex) -> dict:
-    return {
-        "vertices": [
-            [rational_to_json(x) for x in vertex] for vertex in simplex.vertices
-        ]
-    }
+    den = simplex.den
+    return {"vertices": [[_ratio_to_json(x, den) for x in v] for v in simplex.nums]}
 
 
 def simplex_from_json(obj) -> Simplex:
@@ -65,18 +90,19 @@ def simplex_from_json(obj) -> Simplex:
         vertices = obj["vertices"]
     else:
         vertices = obj
-    return Simplex(
-        tuple(tuple(rational_from_json(x) for x in vertex) for vertex in vertices)
-    )
+    rows = [[_ratio_from_json(x) for x in vertex] for vertex in vertices]
+    den = lcm(*(d for row in rows for _, d in row))
+    return Simplex._from_ints(den, tuple(tuple(n * (den // d) for n, d in row) for row in rows))
 
 
 def form_to_json(form: BernsteinForm) -> dict:
+    den = form.den
     return {
         "degree": form.degree,
         "simplex": simplex_to_json(form.system.simplex),
         "coefficients": [
-            {"index": index, "value": rational_to_json(value)}
-            for index, value in form.items_sorted()
+            {"index": index, "value": _ratio_to_json(num, den)}
+            for index, num in sorted(form.nums.items())  # one degree: graded-lex is lex
         ],
     }
 
@@ -84,13 +110,17 @@ def form_to_json(form: BernsteinForm) -> dict:
 def form_from_json(obj) -> BernsteinForm:
     """The form a ``form_to_json`` payload encodes; an index listed twice is a ValueError."""
     simplex = simplex_from_json(obj["simplex"])
-    coeffs = {}
+    ratios = {}
     for entry in obj["coefficients"]:
-        index = tuple(entry["index"])  # checked by the form
-        if index in coeffs:
+        index = tuple(entry["index"])  # checked below, as by the constructor
+        if index in ratios:
             raise ValueError(f"coefficient index {list(index)} is listed twice")
-        coeffs[index] = rational_from_json(entry["value"])
-    return BernsteinForm(barycentric_system(simplex), obj["degree"], coeffs)
+        ratios[index] = _ratio_from_json(entry["value"])
+    slots, degree = simplex.dimension + 1, as_int(obj["degree"], "degree")
+    den = lcm(*(d for _, d in ratios.values()))
+    checked = [(_multi_index(i, slots, degree), n * (den // d)) for i, (n, d) in ratios.items()]
+    nums = {index: num for index, num in checked if num}
+    return BernsteinForm._canonical(barycentric_system(simplex), degree, den, nums)
 
 
 def status_to_json(status: CertStatus) -> dict:

@@ -7,20 +7,28 @@ delta_ij and sum(lambda_i) = 1, which are solved on first read: forms
 derived by closed-form transfers never need them.  A point lies in the
 (closed) simplex iff all its barycentric coordinates are >= 0.
 
+A simplex's working form is integer, as a polynomial's is: ``den`` and
+``nums``, the vertices' int numerators over it, not reduced; the
+``Fraction`` ``vertices`` are built on first read.  Equality
+cross-multiplies, and equal simplices hash equal whatever their ``den``.
+
 The edge-move geometry lives here: ``Simplex._moved(j, i, rho)`` moves
-v_j to w = rho*v_i + (1-rho)*v_j and gives the child its parent's
-determinant times 1-rho, w's weight on v_j, so the children of an edge
-move or split (``subdivision``) run no new elimination; every other
-simplex, including every one read from JSON, is checked in full.
+v_j to w = rho*v_i + (1-rho)*v_j on ints and gives the child its
+parent's determinant times 1-rho, w's weight on v_j, so the children of
+an edge move or split (``subdivision``) run no new elimination and build
+no ``Fraction``; every other simplex, including every one read from
+JSON, is checked in full.  ``BarycentricSystem`` inverts the integer
+vertex matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .linalg import determinant, invert
-from .polynomials import Polynomial, as_int, as_rational
+from .polynomials import Polynomial, as_int, as_rational, over_common_denominator
 
 __all__ = [
     "DegenerateSimplexError",
@@ -40,34 +48,67 @@ class DegenerateSimplexError(ValueError):
 
 
 class Simplex:
-    """n+1 affinely independent vertices in Q^n, in a fixed slot order."""
+    """n+1 affinely independent vertices in Q^n, in a fixed slot order.
 
-    __slots__ = ("vertices", "determinant")
+    ``den`` and ``nums`` hold the vertices as int numerators over one
+    positive denominator; ``vertices`` are built from them on first read.
+    """
+
+    __slots__ = ("den", "nums", "_det", "_vertices")
 
     def __init__(self, vertices: Iterable[Sequence]):
         vs = tuple(tuple(as_rational(c) for c in v) for v in vertices)
-        if len(vs) < 2:
+        den = lcm(*(c.denominator for v in vs for c in v))
+        self._check(den, tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in vs))
+        object.__setattr__(self, "_vertices", vs)
+
+    @classmethod
+    def _from_ints(cls, den: int, nums: tuple) -> "Simplex":
+        """The simplex with vertices ``nums`` / ``den``, checked as the constructor checks."""
+        self = object.__new__(cls)
+        self._check(den, nums)
+        return self
+
+    def _check(self, den: int, nums: tuple) -> None:
+        if len(nums) < 2:
             raise ValueError("a simplex needs at least 2 vertices")
-        n = len(vs) - 1
-        for v in vs:
+        n = len(nums) - 1
+        for v in nums:
             if len(v) != n:
                 raise ValueError(
-                    f"{len(vs)} vertices require dimension {n}, got a vertex of length {len(v)}"
+                    f"{len(nums)} vertices require dimension {n}, got a vertex of length {len(v)}"
                 )
-        det = determinant(
-            [[vs[i + 1][k] - vs[0][k] for k in range(n)] for i in range(n)]
-        )
+        det = determinant([[a - b for a, b in zip(v, nums[0])] for v in nums[1:]])
         if det == 0:
             raise DegenerateSimplexError(det)
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "determinant", det)
+        self._set(den, nums, det.numerator)
+
+    def _set(self, den: int, nums: tuple, det: int) -> None:
+        """``det`` is the edge matrix's determinant times den^n."""
+        for name, value in (("den", den), ("nums", nums), ("_det", det), ("_vertices", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Simplex is immutable")
 
     @property
     def dimension(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.nums) - 1
+
+    @property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The vertices as Fraction tuples, built on first read."""
+        vs = self._vertices
+        if vs is None:
+            den = self.den
+            vs = tuple(tuple(Fraction(x, den) for x in v) for v in self.nums)
+            object.__setattr__(self, "_vertices", vs)
+        return vs
+
+    @property
+    def determinant(self) -> Fraction:
+        """det of the edge matrix (row i is v_{i+1} - v_0)."""
+        return Fraction(self._det, self.den**self.dimension)
 
     def replace_vertex(self, slot: int, point: Sequence) -> "Simplex":
         if as_int(slot, "vertex slot") > self.dimension:
@@ -81,23 +122,27 @@ class Simplex:
 
         ``rho`` must be a Fraction with 0 <= rho < 1 and i != j; w's weight
         on v_j is then 1-rho > 0, so the determinant is the parent's times
-        1-rho and the child is nondegenerate.
+        1-rho and the child is nondegenerate.  With rho = p/q, the child's
+        denominator is den*q, w is p*v_i + (q-p)*v_j, and the rest scale by q.
         """
-        stay = 1 - rho
-        vs = list(self.vertices)
-        vs[j] = tuple(rho * a + stay * b for a, b in zip(vs[i], vs[j]))
+        p, q = rho.numerator, rho.denominator
+        nums = [tuple(q * x for x in v) for v in self.nums]
+        nums[j] = tuple(p * a + (q - p) * b for a, b in zip(self.nums[i], self.nums[j]))
         child = object.__new__(Simplex)
-        object.__setattr__(child, "vertices", tuple(vs))
-        object.__setattr__(child, "determinant", self.determinant * stay)
+        child._set(self.den * q, tuple(nums), self._det * (q - p) * q ** (len(nums) - 2))
         return child
 
     def __eq__(self, other):
         if not isinstance(other, Simplex):
             return NotImplemented
-        return self.vertices == other.vertices
+        da, db = self.den, other.den
+        return len(self.nums) == len(other.nums) and all(
+            x * db == y * da for u, v in zip(self.nums, other.nums) for x, y in zip(u, v)
+        )
 
     def __hash__(self):
-        return hash(self.vertices)
+        g = gcd(self.den, *(x for v in self.nums for x in v))  # the reduced form's hash
+        return hash((self.den // g, tuple(tuple(x // g for x in v) for v in self.nums)))
 
     def __str__(self):
         pts = (f"({', '.join(map(str, v))})" for v in self.vertices)
@@ -110,11 +155,8 @@ class Simplex:
 def standard_simplex(n: int) -> Simplex:
     """Vertices 0, e_1, .., e_n."""
     as_int(n, "dimension", minimum=1)
-    zero = (Fraction(0),) * n
-    verts = [zero]
-    for k in range(n):
-        verts.append(tuple(Fraction(1) if i == k else Fraction(0) for i in range(n)))
-    return Simplex(verts)
+    units = (tuple(int(i == k) for i in range(n)) for k in range(n))
+    return Simplex._from_ints(1, ((0,) * n, *units))
 
 
 class BarycentricSystem:
@@ -141,15 +183,16 @@ class BarycentricSystem:
         because the simplex is nondegenerate.
         """
         if self._coords is None:
-            n = self.simplex.dimension
-            inv = invert([[Fraction(1), *v] for v in self.simplex.vertices])
+            simplex = self.simplex
+            n = simplex.dimension
+            # den * M has integer rows (den, nums_j); its inverse is M's over den
+            inv = invert([[simplex.den, *v] for v in simplex.nums])
+            units = [(0,) * n] + [tuple(int(t == k) for t in range(n)) for k in range(n)]
             coords = []
             for i in range(n + 1):
-                terms = {(0,) * n: inv[0][i]}
-                for k in range(n):
-                    exps = tuple(1 if t == k else 0 for t in range(n))
-                    terms[exps] = inv[k + 1][i]
-                coords.append(Polynomial(n, terms))
+                col_den, col = over_common_denominator(row[i] for row in inv)
+                nums = {e: c * simplex.den for e, c in zip(units, col) if c}
+                coords.append(Polynomial._canonical(n, col_den, nums))
             object.__setattr__(self, "_coords", tuple(coords))
         return self._coords
 

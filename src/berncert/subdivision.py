@@ -23,6 +23,7 @@ The moved simplex itself, w and its determinant (the parent's times
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import mul
 
@@ -51,6 +52,18 @@ def _check_edge(n: int, i: int, j: int) -> None:
         raise ValueError("edge endpoints must differ")
 
 
+@lru_cache(maxsize=64)
+def _edge_weights(p: int, q: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """weights[m][k] = q^d C(m, k) rho^(m-k) (1-rho)^k for rho = p/q, m <= d.
+
+    Cached: at rho = 1/2, every split at degree d reads the same table.
+    """
+    return tuple(
+        tuple(q ** (d - m) * comb(m, k) * p ** (m - k) * (q - p) ** k for k in range(m + 1))
+        for m in range(d + 1)
+    )
+
+
 def transfer_edge_v2(
     form: BernsteinForm, rho, i: int = 0, j: int | None = None
 ) -> BernsteinForm:
@@ -77,11 +90,7 @@ def transfer_edge_v2(
     _check_edge(n, i, j)
     d = form.degree
     p, q = rho.numerator, rho.denominator
-    # weights[m][k] = q^d C(m, k) rho^(m-k) (1-rho)^k, built once for every index
-    weights = [
-        [q ** (d - m) * comb(m, k) * p ** (m - k) * (q - p) ** k for k in range(m + 1)]
-        for m in range(d + 1)
-    ]
+    weights = _edge_weights(p, q, d)
     # lines[rest][k] = N_s with s_j = k, over the s equal to rest off slots i and j
     lines: dict[tuple[int, ...], list[int]] = {}
     for s, c in form.nums.items():

@@ -8,9 +8,10 @@ moves: ``transfer_edge_v2`` against the full change of basis
 ``restrict_general``, ``degree_elevate`` against single steps, a
 per-term Fraction step and ``to_bernstein``, and every split child's
 inherited determinant against a fresh elimination of its vertices.
-The integer forms: the kernels build no ``Fraction`` (counted by
-patching ``Fraction.__new__``), and the ``Fraction`` mappings read from
-their unreduced numerators still equal the oracles.
+The integer forms: the kernels, the edge-move geometry, edge lengths
+and JSON output build no ``Fraction`` (counted by patching
+``Fraction.__new__``), and the ``Fraction`` mappings read from their
+unreduced numerators still equal the oracles.
 """
 
 import random
@@ -36,7 +37,9 @@ from berncert import (
     transfer_edge_v2,
 )
 from berncert.bernstein import _basis, cert_status
+from berncert.certify import _edge_lengths
 from berncert.polynomials import vectors_with_sum
+from berncert.serialize import form_to_json, simplex_to_json
 from helpers import rand_polynomial, rand_rational, rand_simplex
 from test_bernstein import _homogenised_oracle, _solve_oracle
 
@@ -436,8 +439,8 @@ def test_kernels_build_no_fraction_on_integer_forms(fractions_built):
 
 
 def test_edge_move_builds_fractions_only_for_the_child_simplex(fractions_built):
-    # the Fractions an edge move builds are the new vertex and determinant
-    # only: moving the zero form on the same edge builds as many
+    # whatever an edge move builds depends on the edge, not on the form:
+    # moving the zero form on the same edge builds as many
     rng = random.Random(61)
     for n, degree in ((1, 5), (2, 4), (3, 3)):
         form = _rand_form(rng, n, degree, big=True)
@@ -503,3 +506,21 @@ def test_conversions_read_as_the_oracles():
     assert form.coeffs == {(0, 1, 1): Fraction(1, 2)}
     elevated = degree_elevate(form, 1)
     assert elevated.coeffs == _solve_oracle(p, system, 3)
+
+
+def test_geometry_and_json_out_build_no_fraction(fractions_built):
+    # a child simplex, its edge lengths and the JSON of forms and simplices
+    # are computed on the integer forms; so is a whole edge move
+    rng = random.Random(73)
+    forms = [_rand_form(rng, n, degree, big=True) for n, degree in ((1, 4), (2, 3), (3, 2))]
+    fractions_built.clear()
+    for form in forms:
+        simplex, n = form.simplex, form.simplex.dimension
+        for i, j in _ordered_edges(n):
+            for rho in RHOS:
+                child = simplex._moved(j, i, rho)
+                assert len(_edge_lengths(child)) == n * (n + 1) // 2
+                simplex_to_json(child)
+                form_to_json(transfer_edge_v2(form, rho, i, j))
+        form_to_json(form)
+    assert fractions_built == []

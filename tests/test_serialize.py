@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from berncert import (
+    BernsteinForm,
     CertifyConfig,
+    Simplex,
     Strategy,
     Target,
     barycentric_system,
@@ -29,7 +31,8 @@ from berncert.serialize import (
     tree_to_json,
 )
 from berncert.certify import verify_tree
-from helpers import rand_polynomial, rand_simplex
+from berncert.polynomials import grlex_key, vectors_with_sum
+from helpers import rand_edge_ratio, rand_polynomial, rand_simplex
 
 
 def test_rational_round_trip():
@@ -148,3 +151,103 @@ def test_zero_denominator_is_a_value_error():
     text = text.replace('"theta":"1/2"', '"theta":"1/0"', 1)
     with pytest.raises(ValueError):
         tree_from_json(parse_json_exact(text))
+
+
+# --- the integer codec -------------------------------------------------------
+
+
+def _unreduced_form(rng, n, degree):
+    """A form on a moved simplex with negative, whole and zero values,
+    over a den that is mostly larger than the values' lcm denominator."""
+    simplex = rand_simplex(rng, n)
+    i, j = rng.sample(range(n + 1), 2)
+    simplex = simplex._moved(j, i, rand_edge_ratio(rng))
+    den = rng.choice((1, 6, 12, 2**40)) * rng.randint(1, 9)
+    nums = {}
+    for index in vectors_with_sum(n + 1, degree):
+        kind = rng.randrange(4)
+        if kind == 0:
+            continue
+        num = den * rng.randint(-3, 3) if kind == 1 else rng.randint(-(10**9), 10**9)
+        if num:
+            nums[index] = num
+    return BernsteinForm._canonical(barycentric_system(simplex), degree, den, nums)
+
+
+def _oracle_simplex_json(simplex):
+    den = simplex.den
+    return {"vertices": [[rational_to_json(Fraction(x, den)) for x in v] for v in simplex.nums]}
+
+
+def _oracle_form_json(form):
+    items = sorted(form.nums.items(), key=lambda kv: grlex_key(kv[0]))
+    return {
+        "degree": form.degree,
+        "simplex": _oracle_simplex_json(form.simplex),
+        "coefficients": [
+            {"index": index, "value": rational_to_json(Fraction(num, form.den))}
+            for index, num in items
+        ],
+    }
+
+
+def test_integer_codec_matches_the_fraction_oracle_and_round_trips():
+    rng = random.Random(31)
+    whole = negative = 0
+    for n, degree in ((1, 5), (2, 4), (3, 3)):
+        for _ in range(12):
+            form = _unreduced_form(rng, n, degree)
+            payload = form_to_json(form)
+            assert payload == _oracle_form_json(form)
+            assert simplex_to_json(form.simplex) == _oracle_simplex_json(form.simplex)
+            values = [entry["value"] for entry in payload["coefficients"]]
+            whole += sum(type(v) is int for v in values)
+            negative += sum(rational_from_json(v) < 0 for v in values)
+            back = form_from_json(parse_json_exact(canonical_dumps(payload)))
+            assert back == form and back.simplex == form.simplex
+            assert back.coeffs == form.coeffs
+    assert whole and negative
+
+
+# (JSON literal, its value, or None where it is rejected)
+LITERALS = [
+    ('"3/4"', Fraction(3, 4)),
+    ('"-3/4"', Fraction(-3, 4)),
+    ('"+3/4"', Fraction(3, 4)),
+    ('" 3/4"', Fraction(3, 4)),
+    ('"3/-4"', None),
+    ('"1/0"', None),
+    ('"0.25"', Fraction(1, 4)),
+    ('"1e3"', Fraction(1000)),
+    ('"03/4"', Fraction(3, 4)),
+    ("true", None),
+    ("1.5", Fraction(3, 2)),
+    ("-2", Fraction(-2)),
+    ('"6/8"', Fraction(3, 4)),
+]
+
+
+@pytest.mark.parametrize("literal, value", LITERALS)
+def test_rational_literals_keep_their_decision_and_value(literal, value):
+    v = parse_json_exact(literal)
+    readers = [
+        rational_from_json,
+        lambda v: simplex_from_json([[0, 0], [1, v], [0, 1]]).vertices[1][1],
+        lambda v: form_from_json(
+            {"degree": 1, "simplex": [[0], [1]], "coefficients": [{"index": [1, 0], "value": v}]}
+        ).coefficient((1, 0)),
+    ]
+    for read in readers:
+        if value is None:
+            with pytest.raises(ValueError):
+                read(v)
+        else:
+            got = read(v)
+            assert type(got) is Fraction and got == value
+
+
+def test_a_float_is_rejected_where_json_gives_a_fraction():
+    for read in (rational_from_json, lambda v: simplex_from_json([[0], [v]])):
+        with pytest.raises(ValueError):
+            read(1.5)
+    assert simplex_from_json([[0], [Fraction(3, 2)]]) == Simplex(((0,), (Fraction(3, 2),)))

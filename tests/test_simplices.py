@@ -8,8 +8,10 @@ from berncert import (
     Polynomial,
     Simplex,
     barycentric_system,
+    determinant,
     standard_simplex,
 )
+from berncert.serialize import simplex_from_json, simplex_to_json
 from helpers import rand_edge_ratio, rand_point_in, rand_simplex
 
 
@@ -121,3 +123,32 @@ def test_simplex_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != a.replace_vertex(0, (Fraction(1, 3), Fraction(1, 3)))
+
+
+def test_moved_child_equals_and_hashes_as_its_json_reading():
+    # the child's den grows by q per move; JSON writes reduced coordinates
+    child = Simplex(((0, 0), (2, 0), (0, 2)))._moved(1, 0, Fraction(1, 2))
+    read = simplex_from_json(simplex_to_json(child))
+    assert (child.den, read.den) == (2, 1)
+    assert child == read and len({child, read}) == 1
+
+    rng = random.Random(2311)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            s = rand_simplex(rng, n)
+            for _ in range(3):
+                i, j = rng.sample(range(n + 1), 2)
+                rho = rand_edge_ratio(rng)
+                w = tuple(rho * a + (1 - rho) * b for a, b in zip(s.vertices[i], s.vertices[j]))
+                moved = s._moved(j, i, rho)
+                read = simplex_from_json(simplex_to_json(moved))
+                assert moved == read and hash(moved) == hash(read)
+                assert len({moved, read}) == 1
+                # what it prints and its determinant are those of the Fraction vertices
+                oracle = s.replace_vertex(j, w)
+                assert str(moved) == str(read) == str(oracle)
+                assert repr(moved) == repr(oracle)
+                edges = [[a - b for a, b in zip(v, oracle.vertices[0])] for v in oracle.vertices[1:]]
+                assert type(moved.determinant) is Fraction
+                assert moved.determinant == read.determinant == determinant(edges)
+                s = moved
