@@ -10,13 +10,13 @@ are nonnegative on the simplex and sum to 1, the coefficient signs are
 certificates: all b_alpha > 0 proves P > 0 on the simplex, all >= 0
 proves P >= 0, and [min b, max b] encloses the range of P there.
 
-A form's working values are integers: ``nums`` maps each stored index
-to a nonzero int numerator over one positive denominator ``den``, which
-need not be reduced.  The kernels read and return that form and build
-no ``Fraction`` per coefficient; ``coeffs``, the ``Fraction`` mapping,
-is built on first read (the text report, tests; JSON reads ``nums``),
-and equality cross-multiplies numerators.  ``Polynomial`` and
-``Simplex`` work the same way.
+A form's only stored values are integers: ``nums`` maps each stored
+index to a nonzero int numerator over one positive denominator ``den``,
+which need not be reduced.  The kernels read and return that form and
+build no ``Fraction`` per coefficient; ``coeffs``, the ``Fraction``
+mapping, is built from it on each read (the text report, tests; JSON
+reads ``nums``), and equality cross-multiplies numerators.
+``Polynomial`` and ``Simplex`` work the same way.
 
 ``to_bernstein`` (a linear solve) and ``from_bernstein`` (the sum above)
 read the same unscaled table {alpha: lambda^alpha}, built from the
@@ -35,7 +35,8 @@ numerators.  ``degree_elevate`` runs every step on the numerators and
 multiplies the denominator by the new degree.  The only Fractions a
 conversion builds are the solve's solution entries.  Kernel outputs are
 wrapped unchecked (``BernsteinForm._canonical``); the public
-constructor checks every index and value.
+constructor and ``serialize.form_from_json`` both build through the one
+checked constructor, ``BernsteinForm._from_ratios``.
 
 Forms store only nonzero coefficients; an absent index reads as 0 and
 implicit zeros count when classifying (they block a strict-positivity
@@ -55,7 +56,6 @@ from .polynomials import (
     Polynomial,
     as_int,
     as_rational,
-    grlex_key,
     multinomial,
     over_common_denominator,
     same_values,
@@ -109,56 +109,48 @@ def _multi_index(index: Iterable[int], slots: int, degree: int) -> tuple[int, ..
 class BernsteinForm:
     """Coefficients of a polynomial in the degree-d Bernstein basis of a simplex.
 
-    ``coeffs`` maps multi-indices (length n+1, entries summing to d) to
-    nonzero Fractions.  The mapping is total over the full index set with
-    absent indices reading as zero.  ``den`` and ``nums`` hold the same
-    values as integer numerators over one positive denominator; the
-    kernels read and return that form, and ``coeffs`` is built from it on
-    first read.
+    ``den`` and ``nums`` hold the coefficients as nonzero int numerators
+    over one positive denominator, keyed by multi-index (length n+1,
+    entries summing to d); the mapping is total over the full index set
+    with absent indices reading as zero.  ``coeffs`` is the same mapping
+    of Fractions, built on each read.
     """
 
-    __slots__ = ("system", "degree", "den", "nums", "_coeffs")
+    __slots__ = ("system", "degree", "den", "nums")
 
-    def __init__(self, system: BarycentricSystem, degree: int, coeffs: Mapping):
-        as_int(degree, "degree")
-        slots = system.simplex.dimension + 1
-        canon: dict[tuple[int, ...], Fraction] = {}
-        for index, value in coeffs.items():
-            index = _multi_index(index, slots, degree)
-            v = as_rational(value)
-            if v:
-                canon[index] = v
-        den, nums = over_common_denominator(canon.values())
-        self._set(system, degree, den, dict(zip(canon, nums)), canon)
-
-    def _set(self, system, degree, den, nums, coeffs) -> None:
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "_coeffs", coeffs)
+    def __new__(cls, system: BarycentricSystem, degree: int, coeffs: Mapping) -> "BernsteinForm":
+        """The form with the exact rational ``coeffs[index]`` at each index."""
+        return cls._from_ratios(system, degree, coeffs, lambda v: as_rational(v).as_integer_ratio())
 
     @classmethod
-    def _canonical(
-        cls, system: BarycentricSystem, degree: int, den: int, nums: dict
-    ) -> "BernsteinForm":
+    def _from_ratios(cls, system, degree, values: Mapping, ratio) -> "BernsteinForm":
+        """The one checked constructor; ``ratio(value)`` is (numerator, positive denominator).
+        It checks the degree, then each index and its value, in order."""
+        as_int(degree, "degree")
+        slots = system.simplex.dimension + 1
+        ratios = {_multi_index(i, slots, degree): ratio(v) for i, v in values.items()}
+        den = lcm(*(d for _, d in ratios.values()))
+        nums = {index: n * (den // d) for index, (n, d) in ratios.items() if n}
+        return cls._canonical(system, degree, den, nums)
+
+    @classmethod
+    def _canonical(cls, system, degree: int, den: int, nums: dict) -> "BernsteinForm":
         """Wrap ``nums`` / ``den`` unchecked: ``den`` must be a positive int
         and ``nums`` map valid multi-indices of length n+1 summing to
         ``degree`` to nonzero ints, as the results of this module's
         kernels do."""
         self = object.__new__(cls)
-        self._set(system, degree, den, nums, None)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
         return self
 
     @property
     def coeffs(self) -> dict[tuple[int, ...], Fraction]:
-        """{index: nonzero Fraction}, built on first read."""
-        coeffs = self._coeffs
-        if coeffs is None:
-            den = self.den
-            coeffs = {index: Fraction(v, den) for index, v in self.nums.items()}
-            object.__setattr__(self, "_coeffs", coeffs)
-        return coeffs
+        """{index: nonzero Fraction}, built from ``nums`` on each read."""
+        den = self.den
+        return {index: Fraction(v, den) for index, v in self.nums.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError("BernsteinForm is immutable")
@@ -174,10 +166,6 @@ class BernsteinForm:
     def indices(self) -> Iterator[tuple[int, ...]]:
         """The full index set, graded-lexicographic (here: lex) ascending."""
         return vectors_with_sum(self.simplex.dimension + 1, self.degree)
-
-    def items_sorted(self):
-        """Nonzero (index, value) pairs in graded-lex ascending order."""
-        return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]))
 
     def __eq__(self, other):
         if not isinstance(other, BernsteinForm):

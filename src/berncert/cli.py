@@ -8,7 +8,8 @@ standard output on a failed run.
 
 Exit codes: 0 success/Certified, 1 Exhausted or report mismatch,
 2 unparseable input, 3 requested degree below the polynomial degree,
-4 degenerate simplex, 5 search nested deeper than the recursion limit.
+4 degenerate simplex, 5 certify's search nested deeper than the
+recursion limit.
 """
 
 from __future__ import annotations
@@ -174,6 +175,8 @@ def _parse_simplex_spec(spec: str) -> Simplex:
         obj = parse_json_exact(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"simplex spec is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("simplex spec is nested too deeply to parse") from exc
     return simplex_from_json(obj)
 
 
@@ -195,13 +198,12 @@ def _root_form(args, on: Simplex | None = None) -> BernsteinForm:
 
 
 def _render_form(form: BernsteinForm) -> str:
-    items = form.items_sorted()
     lines = [
         f"degree: {form.degree}",
         f"simplex: {form.simplex}",
-        f"nonzero coefficients: {len(items)}",
+        f"nonzero coefficients: {len(form.nums)}",
     ]
-    for index, value in items:
+    for index, value in sorted(form.coeffs.items()):  # one degree: graded-lex is lex
         lines.append(f"  b{index} = {value}")
     return "\n".join(lines)
 

@@ -9,8 +9,9 @@ The working form is integer: a positive denominator ``den`` and a map
 ``nums`` from each exponent tuple to a nonzero int numerator, not
 reduced against ``den``.  Sums, negation and products read and return
 that form (a product's denominator is the product of its factors'), so
-they build no ``Fraction``; ``terms``, the ``Fraction`` mapping, is
-built on first read and cached.  Equality cross-multiplies numerators.
+they build no ``Fraction``.  ``den`` and ``nums`` are the only stored
+state: ``terms``, the ``Fraction`` mapping, is built from them on each
+read.  Equality cross-multiplies numerators.
 
 The text format is the one used throughout the CLI and the docs::
 
@@ -130,20 +131,24 @@ def multinomial(total: int, parts: Iterable[int]) -> int:
 class Polynomial:
     """Sparse polynomial with exact rational coefficients.
 
-    ``terms`` maps exponent tuples of length ``num_vars`` to nonzero
-    Fractions; the zero polynomial has an empty mapping and degree 0.
-    ``den`` and ``nums`` hold the same values as integer numerators over
-    one positive denominator.  Instances are value objects: operators
-    return new polynomials and neither mapping may be mutated.
+    ``den`` and ``nums`` hold the coefficients as nonzero int numerators
+    over one positive denominator, keyed by exponent tuples of length
+    ``num_vars``; the zero polynomial has an empty mapping and degree 0.
+    Instances are value objects: operators return new polynomials and
+    ``nums`` may not be mutated.
     """
 
-    __slots__ = ("num_vars", "den", "nums", "_terms")
+    __slots__ = ("num_vars", "den", "nums")
 
-    def __init__(self, num_vars: int, terms: Mapping | Iterable = ()):
+    # --- constructors -------------------------------------------------
+
+    def __new__(cls, num_vars: int, terms: Mapping) -> "Polynomial":
+        """The polynomial with the exact rational ``terms[exps]`` at each exponent tuple."""
         as_int(num_vars, "num_vars", minimum=1)
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        if not isinstance(terms, Mapping):
+            raise TypeError(f"terms must be a Mapping, got {type(terms).__name__}")
         canon: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in items:
+        for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != num_vars:
                 raise ValueError(
@@ -151,26 +156,9 @@ class Polynomial:
                 )
             if any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError(f"exponents must be nonnegative ints, got {exps}")
-            c = as_rational(coeff)
-            if exps in canon:
-                c += canon[exps]
-            if c:
-                canon[exps] = c
-            elif exps in canon:
-                del canon[exps]
+            canon[exps] = as_rational(coeff)
         den, nums = over_common_denominator(canon.values())
-        self._set(num_vars, den, dict(zip(canon, nums)), canon)
-
-    def _set(self, num_vars, den, nums, terms) -> None:
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "_terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    # --- constructors -------------------------------------------------
+        return cls._canonical(num_vars, den, {e: v for e, v in zip(canon, nums) if v})
 
     @classmethod
     def _canonical(cls, num_vars: int, den: int, nums: dict) -> "Polynomial":
@@ -178,26 +166,21 @@ class Polynomial:
         and ``nums`` map valid exponent tuples of length ``num_vars`` to
         nonzero ints, as the results of this class's own operations do."""
         self = object.__new__(cls)
-        self._set(num_vars, den, nums, None)
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
         return self
 
-    @property
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
-        """{exponents: nonzero Fraction}, built on first read."""
-        terms = self._terms
-        if terms is None:
-            den = self.den
-            terms = {e: Fraction(v, den) for e, v in self.nums.items()}
-            object.__setattr__(self, "_terms", terms)
-        return terms
+    def __setattr__(self, name, value):
+        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def zero(cls, num_vars: int) -> "Polynomial":
-        return cls(num_vars)
+        return cls._canonical(as_int(num_vars, "num_vars", minimum=1), 1, {})
 
     @classmethod
     def constant(cls, num_vars: int, value: RationalLike) -> "Polynomial":
-        return cls(num_vars, {(0,) * num_vars: as_rational(value)})
+        return cls._coerce(as_rational(value), as_int(num_vars, "num_vars", minimum=1))
 
     @classmethod
     def variable(cls, num_vars: int, index: int) -> "Polynomial":
@@ -205,9 +188,15 @@ class Polynomial:
         if as_int(index, "variable index") >= num_vars:
             raise ValueError(f"variable index {index} out of range for {num_vars} vars")
         exps = tuple(1 if k == index else 0 for k in range(num_vars))
-        return cls(num_vars, {exps: Fraction(1)})
+        return cls._canonical(as_int(num_vars, "num_vars", minimum=1), 1, {exps: 1})
 
     # --- basic queries ------------------------------------------------
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """{exponents: nonzero Fraction}, built from ``nums`` on each read."""
+        den = self.den
+        return {e: Fraction(v, den) for e, v in self.nums.items()}
 
     @property
     def degree(self) -> int:
@@ -366,13 +355,13 @@ _SIGNS = {("op", "+"): 1, ("op", "-"): -1}
 
 
 def _parse_number(tokens: list) -> tuple[int, int]:
-    """(numerator, positive denominator) of a coefficient literal, as ints."""
-    kind, text = tokens.pop() if tokens else (None, "")
-    if kind != "number":
-        raise PolynomialParseError(f"expected a number, got {text!r}")
+    """(numerator, positive denominator) of the coefficient literal that the next token starts."""
+    text = tokens.pop()[1]
     if tokens[-1:] == [("op", "/")]:
         tokens.pop()
-        dkind, dtext = tokens.pop() if tokens else (None, "")
+        if not tokens:
+            raise PolynomialParseError("dangling '/' at end of input")
+        dkind, dtext = tokens.pop()
         if dkind != "number" or "." in text or "." in dtext:
             raise PolynomialParseError("p/q coefficients need integer p and q")
         if int(dtext) == 0:
@@ -455,12 +444,13 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> Polynomial:
 
 def format_polynomial(p: Polynomial) -> str:
     """Render in the text grammar; parse(format(p)) == p."""
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
     parts = []
     # display order: degree descending, then lex descending
-    for exps in sorted(p.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-        c = p.terms[exps]
+    for exps in sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
+        c = terms[exps]
         mag = abs(c)
         vars_txt = "*".join(
             f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"

@@ -10,8 +10,10 @@ by the form it builds or by ``verify_tree``'s replay.
 Simplices and forms are written and read in their integer form: each
 value is reduced with one gcd on the way out, and an int or "p/q"
 literal is read as ints on the way in, so no node builds a ``Fraction``.
-Any other literal goes through ``rational_from_json``, so the accepted
-language and every check are those of the public constructors.
+Any other literal goes through ``rational_from_json``.  Every index,
+degree and vertex is checked by the types' own checked constructors
+(``BernsteinForm._from_ratios``, ``Simplex._from_ints``); a form's
+decoder adds only its "listed twice" check.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .bernstein import BernsteinForm, CertKind, CertStatus, _multi_index
+from .bernstein import BernsteinForm, CertKind, CertStatus
 from .certify import CertificateTree, EdgeSplit, Elevation
 from .polynomials import as_int, as_rational
 from .simplices import Simplex, barycentric_system
@@ -109,18 +111,14 @@ def form_to_json(form: BernsteinForm) -> dict:
 
 def form_from_json(obj) -> BernsteinForm:
     """The form a ``form_to_json`` payload encodes; an index listed twice is a ValueError."""
-    simplex = simplex_from_json(obj["simplex"])
-    ratios = {}
+    system = barycentric_system(simplex_from_json(obj["simplex"]))
+    values = {}
     for entry in obj["coefficients"]:
-        index = tuple(entry["index"])  # checked below, as by the constructor
-        if index in ratios:
+        index = tuple(entry["index"])  # checked by the constructor
+        if index in values:
             raise ValueError(f"coefficient index {list(index)} is listed twice")
-        ratios[index] = _ratio_from_json(entry["value"])
-    slots, degree = simplex.dimension + 1, as_int(obj["degree"], "degree")
-    den = lcm(*(d for _, d in ratios.values()))
-    checked = [(_multi_index(i, slots, degree), n * (den // d)) for i, (n, d) in ratios.items()]
-    nums = {index: num for index, num in checked if num}
-    return BernsteinForm._canonical(barycentric_system(simplex), degree, den, nums)
+        values[index] = entry["value"]
+    return BernsteinForm._from_ratios(system, obj["degree"], values, _ratio_from_json)
 
 
 def status_to_json(status: CertStatus) -> dict:

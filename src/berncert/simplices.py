@@ -7,9 +7,9 @@ delta_ij and sum(lambda_i) = 1, which are solved on first read: forms
 derived by closed-form transfers never need them.  A point lies in the
 (closed) simplex iff all its barycentric coordinates are >= 0.
 
-A simplex's working form is integer, as a polynomial's is: ``den`` and
-``nums``, the vertices' int numerators over it, not reduced; the
-``Fraction`` ``vertices`` are built on first read.  Equality
+A simplex's only stored form is integer, as a polynomial's is: ``den``
+and ``nums``, the vertices' int numerators over it, not reduced; the
+``Fraction`` ``vertices`` are built from them on each read.  Equality
 cross-multiplies, and equal simplices hash equal whatever their ``den``.
 
 The edge-move geometry lives here: ``Simplex._moved(j, i, rho)`` moves
@@ -17,7 +17,8 @@ v_j to w = rho*v_i + (1-rho)*v_j on ints and gives the child its
 parent's determinant times 1-rho, w's weight on v_j, so the children of
 an edge move or split (``subdivision``) run no new elimination and build
 no ``Fraction``; every other simplex, including every one read from
-JSON, is checked in full.  ``BarycentricSystem`` inverts the integer
+JSON, is checked in full by the one checked constructor,
+``Simplex._from_ints``.  ``BarycentricSystem`` inverts the integer
 vertex matrix.
 """
 
@@ -51,25 +52,20 @@ class Simplex:
     """n+1 affinely independent vertices in Q^n, in a fixed slot order.
 
     ``den`` and ``nums`` hold the vertices as int numerators over one
-    positive denominator; ``vertices`` are built from them on first read.
+    positive denominator; ``vertices`` are built from them on each read.
     """
 
-    __slots__ = ("den", "nums", "_det", "_vertices")
+    __slots__ = ("den", "nums", "_det")
 
-    def __init__(self, vertices: Iterable[Sequence]):
+    def __new__(cls, vertices: Iterable[Sequence]) -> "Simplex":
         vs = tuple(tuple(as_rational(c) for c in v) for v in vertices)
         den = lcm(*(c.denominator for v in vs for c in v))
-        self._check(den, tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in vs))
-        object.__setattr__(self, "_vertices", vs)
+        nums = tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in vs)
+        return cls._from_ints(den, nums)
 
     @classmethod
     def _from_ints(cls, den: int, nums: tuple) -> "Simplex":
-        """The simplex with vertices ``nums`` / ``den``, checked as the constructor checks."""
-        self = object.__new__(cls)
-        self._check(den, nums)
-        return self
-
-    def _check(self, den: int, nums: tuple) -> None:
+        """The simplex with vertices ``nums`` / ``den``: the one checked constructor."""
         if len(nums) < 2:
             raise ValueError("a simplex needs at least 2 vertices")
         n = len(nums) - 1
@@ -81,12 +77,16 @@ class Simplex:
         det = determinant([[a - b for a, b in zip(v, nums[0])] for v in nums[1:]])
         if det == 0:
             raise DegenerateSimplexError(det)
-        self._set(den, nums, det.numerator)
+        return cls._canonical(den, nums, det.numerator)
 
-    def _set(self, den: int, nums: tuple, det: int) -> None:
-        """``det`` is the edge matrix's determinant times den^n."""
-        for name, value in (("den", den), ("nums", nums), ("_det", det), ("_vertices", None)):
-            object.__setattr__(self, name, value)
+    @classmethod
+    def _canonical(cls, den: int, nums: tuple, det: int) -> "Simplex":
+        """Wrap unchecked; ``det`` is the edge matrix's determinant times den^n."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "_det", det)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Simplex is immutable")
@@ -97,13 +97,9 @@ class Simplex:
 
     @property
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The vertices as Fraction tuples, built on first read."""
-        vs = self._vertices
-        if vs is None:
-            den = self.den
-            vs = tuple(tuple(Fraction(x, den) for x in v) for v in self.nums)
-            object.__setattr__(self, "_vertices", vs)
-        return vs
+        """The vertices as Fraction tuples, built from ``nums`` on each read."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in v) for v in self.nums)
 
     @property
     def determinant(self) -> Fraction:
@@ -128,9 +124,8 @@ class Simplex:
         p, q = rho.numerator, rho.denominator
         nums = [tuple(q * x for x in v) for v in self.nums]
         nums[j] = tuple(p * a + (q - p) * b for a, b in zip(self.nums[i], self.nums[j]))
-        child = object.__new__(Simplex)
-        child._set(self.den * q, tuple(nums), self._det * (q - p) * q ** (len(nums) - 2))
-        return child
+        det = self._det * (q - p) * q ** (len(nums) - 2)
+        return Simplex._canonical(self.den * q, tuple(nums), det)
 
     def __eq__(self, other):
         if not isinstance(other, Simplex):

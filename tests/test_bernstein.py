@@ -22,6 +22,7 @@ from berncert import (
     to_bernstein,
 )
 from berncert.polynomials import multinomial, vectors_with_sum
+from berncert.serialize import form_from_json, form_to_json
 from helpers import rand_point_in, rand_polynomial, rand_simplex
 
 
@@ -225,6 +226,30 @@ def test_form_index_validation():
     form = to_bernstein(parse_polynomial("x1", 2), system, 1)
     with pytest.raises(ValueError):
         form.coefficient((2, 0, 0))
+
+
+def test_form_is_immutable():
+    system = barycentric_system(standard_simplex(2))
+    form = to_bernstein(parse_polynomial("x1 - x2", 2), system, 1)
+    for name in ("den", "nums", "degree", "system"):
+        with pytest.raises(AttributeError):
+            setattr(form, name, None)
+    assert form.coeffs == {(0, 1, 0): 1, (0, 0, 1): -1}
+
+
+def test_constructor_and_json_share_the_checked_constructor(monkeypatch):
+    calls = []
+    checked = BernsteinForm._from_ratios.__func__
+
+    def spy(cls, *args):
+        calls.append(args[1:3])
+        return checked(cls, *args)
+
+    monkeypatch.setattr(BernsteinForm, "_from_ratios", classmethod(spy))
+    system = barycentric_system(standard_simplex(1))
+    form = BernsteinForm(system, 2, {(2, 0): Fraction(1, 2), (0, 2): 0})
+    assert form_from_json(form_to_json(form)) == form
+    assert calls == [(2, {(2, 0): Fraction(1, 2), (0, 2): 0}), (2, {(2, 0): "1/2"})]
 
 
 def test_degree_elevate_preserves_polynomial():

@@ -435,6 +435,12 @@ def test_verify_tree_raises_on_malformed_structure():
             verify_tree(bad_elevation)
 
 
+def test_derive_rejects_an_unknown_record():
+    form = to_bernstein(split_demo_polynomial(), barycentric_system(STD2), 2)
+    with pytest.raises(ValueError, match="unknown split record"):
+        _derive(form, ("edge", 0, 1, Fraction(1, 2)))
+
+
 def _internal_child(tree: CertificateTree) -> int:
     return next(k for k, child in enumerate(tree.children) if child.children)
 

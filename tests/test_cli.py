@@ -86,11 +86,15 @@ def test_exit_code_zero_denominator_in_simplex(capsys):
     assert err.startswith("error:")
 
 
-def test_exit_code_bad_simplex_spec(capsys):
+def test_exit_code_bad_simplex_spec(tmp_path, capsys):
+    deep = tmp_path / "deep.json"  # nested past the recursion limit: no search ran, so not 5
+    deep.write_text("[" * 50_000 + "]" * 50_000)
     for argv in (
         ["convert", "x1", "--simplex", "[[0],"],  # not JSON
         ["convert", "x1", "--simplex", "std0"],
         ["restrict", "x1^2 + x2", "--to", "std3"],  # not the polynomial's dimension
+        ["convert", "x1", "--simplex", f"@{deep}"],
+        ["restrict", DEMO, "--to", f"@{deep}"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2

@@ -70,6 +70,24 @@ def test_parse_errors():
         parse_polynomial("x1^x1", 1)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1.5/2*x1", "p/q coefficients need integer p and q"),
+        ("3/", "dangling '/' at end of input"),
+        ("x1 + * x2", "expected a coefficient or variable, got '*'"),
+        ("x1 x2", "expected '+' or '-' between terms, got 'x2'"),
+        ("x1^", "exponent must be an integer, got ''"),
+        ("x1^2.5", "exponent must be an integer, got '2.5'"),
+        ("1/0", "zero denominator"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(PolynomialParseError) as info:
+        parse_polynomial(text)
+    assert str(info.value) == message
+
+
 def test_as_rational_rejects_floats_and_bools():
     with pytest.raises(TypeError):
         as_rational(0.5)
@@ -91,6 +109,8 @@ def test_constructor_canonicalizes():
     for exps in [(-1,), ("2",), (Fraction(3, 2),), (Fraction(2),), (2.0,), (True,)]:
         with pytest.raises(ValueError):
             Polynomial(1, {exps: Fraction(1)})
+    with pytest.raises(TypeError):  # the terms are a mapping, not (exponents, value) pairs
+        Polynomial(1, [((1,), Fraction(1))])
 
 
 def test_polynomial_is_immutable():
@@ -115,6 +135,8 @@ def test_arithmetic_matches_evaluation():
         assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
         assert (-a).evaluate(point) == -a.evaluate(point)
         assert (3 * a)(point) == 3 * a(point)
+        assert (2 + a)(point) == 2 + a(point)
+        assert (Fraction(1, 2) - a)(point) == Fraction(1, 2) - a(point)
 
 
 def test_ring_axioms_sample():

@@ -27,6 +27,8 @@ from berncert.serialize import (
     rational_to_json,
     simplex_from_json,
     simplex_to_json,
+    split_from_json,
+    split_to_json,
     tree_from_json,
     tree_to_json,
 )
@@ -140,6 +142,13 @@ def test_integer_fields_reject_non_integers():
         assert old in text
         with pytest.raises(ValueError):
             tree_from_json(parse_json_exact(text.replace(old, new, 1)))
+
+
+def test_unknown_split_kind_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown split record"):
+        split_from_json({"kind": "vertex", "steps": 1})
+    with pytest.raises(ValueError, match="unknown split record"):
+        split_to_json(("edge", 0, 1))
 
 
 def test_zero_denominator_is_a_value_error():

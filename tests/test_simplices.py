@@ -152,3 +152,12 @@ def test_moved_child_equals_and_hashes_as_its_json_reading():
                 assert type(moved.determinant) is Fraction
                 assert moved.determinant == read.determinant == determinant(edges)
                 s = moved
+
+
+def test_simplex_and_barycentric_system_are_immutable():
+    simplex = standard_simplex(2)
+    system = barycentric_system(simplex)
+    for obj, name in ((simplex, "den"), (simplex, "nums"), (system, "simplex")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    assert simplex.den == 1 and system.simplex is simplex
