@@ -18,23 +18,13 @@ mapping, is built from it on each read (the text report, tests; JSON
 reads ``nums``), and equality cross-multiplies numerators.
 ``Polynomial`` and ``Simplex`` work the same way.
 
-``to_bernstein`` (a linear solve) and ``from_bernstein`` (the sum above)
-read the same unscaled table {alpha: lambda^alpha}, built from the
-barycentric coordinates with one polynomial multiplication per index.
-``to_bernstein`` solves at P's own degree k only, for the power-basis
-coefficients c_alpha of P = sum c_alpha * lambda^alpha: column alpha of
-the system is lambda^alpha's numerators over the table's lcm
-denominator den, so ``linalg.solve`` eliminates an integer matrix
-against den * P, and b_alpha = c_alpha / multinomial(k, alpha) is
-applied after the solve.  A higher degree is reached by the closed
-multi-step elevation of the c_alpha, which shares no code with
-``degree_elevate`` (the search's stepwise rule), so a leaf check by
-``to_bernstein`` does not trust the search's elevation.
-``from_bernstein`` sums b_alpha * multinomial(d, alpha) * lambda^alpha on
-numerators.  ``degree_elevate`` runs every step on the numerators and
-multiplies the denominator by the new degree.  The only Fractions a
-conversion builds are the solve's solution entries.  Kernel outputs are
-wrapped unchecked (``BernsteinForm._canonical``); the public
+``to_bernstein`` (a linear solve at P's own degree, then a closed
+lift) and ``from_bernstein`` (the sum above) read the same unscaled
+table {alpha: lambda^alpha}, built from the barycentric coordinates with
+one polynomial multiplication per index; each function's docstring
+gives its integer arithmetic, as does ``degree_elevate``'s.  The only
+Fractions a conversion builds are the solve's solution entries.  Kernel
+outputs are wrapped unchecked (``BernsteinForm._canonical``); the public
 constructor and ``serialize.form_from_json`` both build through the one
 checked constructor, ``BernsteinForm._from_ratios``.
 
@@ -120,15 +110,22 @@ class BernsteinForm:
 
     def __new__(cls, system: BarycentricSystem, degree: int, coeffs: Mapping) -> "BernsteinForm":
         """The form with the exact rational ``coeffs[index]`` at each index."""
-        return cls._from_ratios(system, degree, coeffs, lambda v: as_rational(v).as_integer_ratio())
+        pairs = coeffs.items()
+        return cls._from_ratios(system, degree, pairs, lambda v: as_rational(v).as_integer_ratio())
 
     @classmethod
-    def _from_ratios(cls, system, degree, values: Mapping, ratio) -> "BernsteinForm":
-        """The one checked constructor; ``ratio(value)`` is (numerator, positive denominator).
-        It checks the degree, then each index and its value, in order."""
+    def _from_ratios(cls, system, degree, pairs: Iterable, ratio) -> "BernsteinForm":
+        """The one checked constructor, from (index, value) pairs; ``ratio(value)``
+        is (numerator, positive denominator).  It checks the degree, then each
+        index and its value, in order; an index named twice is a ValueError."""
         as_int(degree, "degree")
         slots = system.simplex.dimension + 1
-        ratios = {_multi_index(i, slots, degree): ratio(v) for i, v in values.items()}
+        ratios = {}
+        for index, value in pairs:
+            index = _multi_index(index, slots, degree)
+            if index in ratios:
+                raise ValueError(f"coefficient index {list(index)} is listed twice")
+            ratios[index] = ratio(value)
         den = lcm(*(d for _, d in ratios.values()))
         nums = {index: n * (den // d) for index, (n, d) in ratios.items() if n}
         return cls._canonical(system, degree, den, nums)

@@ -5,16 +5,17 @@ solves: barycentric coordinate systems, basis-change systems, and the
 LDL^T pivots used for the positive-definiteness check.  Everything is
 exact; no pivot-size heuristics are needed, only nonzero pivots.
 
-One fraction-free Gaussian elimination serves the determinant, the
-solve, the inverse and the LDL^T pivots.  Each row of [A | B] is scaled
-by the lcm of its denominators; a row update is then integer
-arithmetic, and the updated row is divided by the gcd of its entries
-(its content), which keeps the integers at the size of the row's
-primitive part.  Back-substitution keeps the solution as integer
+One fraction-free Gaussian elimination, with a row swap at a zero
+pivot, serves the determinant, the solve and the inverse.  Each row of
+[A | B] is scaled by the lcm of its denominators; a row update is then
+integer arithmetic, and the updated row is divided by the gcd of its
+entries (its content), which keeps the integers at the size of the
+row's primitive part.  Back-substitution keeps the solution as integer
 numerators over one common denominator, so a Fraction is built only
 once per output entry.  A plain int entry is kept as it is (a bool is
 rejected like a float), so an integer system builds no Fraction before
-its solution.
+its solution.  The LDL^T pivots are the ratios of successive leading
+principal minors, each one a ``determinant``.
 
 Bareiss's integer-preserving elimination (Math. Comp. 1968) divides
 every row by the previous pivot instead.  On the basis-change matrices
@@ -57,27 +58,23 @@ def _integer_rows(rows: list[list[int | Fraction]]) -> tuple[list[list[int]], li
     return list(out), list(scales)
 
 
-def _eliminate(
-    rows: list[list[int]], swap: bool = True, factors: list[list[int]] | None = None
-) -> int:
+def _eliminate(rows: list[list[int]], factors: list[list[int]] | None = None) -> int:
     """Reduce integer rows [A | B] in place until the square A is upper triangular.
 
     A row with entry f below the pivot piv becomes p * row - q * top,
     with p/q = piv/f in lowest terms, divided by the gcd of its entries.
     Rows with a zero in the pivot column are left alone, since the
     basis-change matrices are mostly zeros, and entries below the
-    diagonal are left stale.  A zero pivot is replaced by a row swap,
-    or, with ``swap=False``, stops the elimination with that zero on the
-    diagonal.  ``factors`` holds one [num, den] pair per row; it is
-    multiplied by what its row is multiplied by, and moves with it.
-    Returns the sign of the row swaps, or 0 when the elimination stopped
-    at a zero pivot.
+    diagonal are left stale.  A zero pivot is replaced by a row swap.
+    ``factors`` holds one [num, den] pair per row; it is multiplied by
+    what its row is multiplied by, and moves with it.  Returns the sign
+    of the row swaps, or 0 when A is singular.
     """
     n = len(rows)
     sign = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot_row is None or (pivot_row != col and not swap):
+        if pivot_row is None:
             return 0
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
@@ -105,13 +102,17 @@ def _eliminate(
     return sign
 
 
-def _back_substitute(rows: list[list[int]]) -> list[list[Fraction]]:
-    """X with A X = B, for integer rows [A | B] that ``_eliminate`` made triangular.
+def _solve_augmented(a: list[list[int | Fraction]]) -> list[list[Fraction]]:
+    """X with A X = B for the rows [A | B] of ``a``; SingularMatrixError if A is singular.
 
-    X is kept as integer numerators over one common denominator ``den``:
-    row r's numerators over den * piv are reduced by their gcd with piv,
-    and den grows only by what is left of piv.
+    After the elimination, back-substitution keeps X as integer numerators
+    over one common denominator ``den``: row r's numerators over den * piv
+    are reduced by their gcd with piv, and den grows only by what is left
+    of piv.
     """
+    rows, _ = _integer_rows(a)
+    if not _eliminate(rows):
+        raise SingularMatrixError("singular matrix")
     n = len(rows)
     den = 1
     y: list = [None] * n
@@ -133,28 +134,17 @@ def _back_substitute(rows: list[list[int]]) -> list[list[Fraction]]:
     return [[Fraction(v, den) for v in out] for out in y]
 
 
-def _pivots(a: list[list[int | Fraction]], swap: bool) -> tuple[int, list[tuple[int, int]]]:
-    """The sign of the row swaps and the pivots of Gaussian elimination on A.
-
-    Each pivot is an integer pair (numerator, denominator): the integer
-    diagonal entry over what its row was multiplied by.  The list stops
-    at the first zero pivot.
-    """
-    rows, scales = _integer_rows(a)
-    factors = [[s, 1] for s in scales]
-    sign = _eliminate(rows, swap, factors)
-    pivots = []
-    for k, (row, (num, den)) in enumerate(zip(rows, factors)):
-        pivots.append((row[k] * den, num))
-        if not row[k]:
-            break
-    return sign, pivots
-
-
 def determinant(matrix) -> Fraction:
-    """Determinant: the signed product of the elimination's pivots."""
-    sign, pivots = _pivots(_copy(matrix), swap=True)
-    return Fraction(sign * prod(n for n, _ in pivots), prod(d for _, d in pivots))
+    """Determinant: the signed product of the elimination's pivots.
+
+    Pivot k is the integer diagonal entry over what its row was
+    multiplied by; a singular matrix has sign 0.
+    """
+    rows, scales = _integer_rows(_copy(matrix))
+    factors = [[s, 1] for s in scales]
+    sign = _eliminate(rows, factors)
+    num = sign * prod(row[k] * den for k, (row, (_, den)) in enumerate(zip(rows, factors)))
+    return Fraction(num, prod(s for s, _ in factors))
 
 
 def solve(matrix, rhs) -> list[Fraction]:
@@ -165,10 +155,7 @@ def solve(matrix, rhs) -> list[Fraction]:
         raise ValueError("rhs length does not match matrix")
     for row, v in zip(a, b):
         row.append(v)
-    m, _ = _integer_rows(a)
-    if not _eliminate(m):
-        raise SingularMatrixError("singular matrix")
-    return [x for (x,) in _back_substitute(m)]
+    return [x for (x,) in _solve_augmented(a)]
 
 
 def invert(matrix) -> list[list[Fraction]]:
@@ -176,10 +163,7 @@ def invert(matrix) -> list[list[Fraction]]:
     a = _copy(matrix)
     for i, row in enumerate(a):
         row.extend(int(i == j) for j in range(len(a)))
-    m, _ = _integer_rows(a)
-    if not _eliminate(m):
-        raise SingularMatrixError("singular matrix")
-    return _back_substitute(m)
+    return _solve_augmented(a)
 
 
 def ldl_pivots(matrix) -> list[Fraction]:
@@ -193,4 +177,11 @@ def ldl_pivots(matrix) -> list[Fraction]:
     a = _copy(matrix)
     if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
         raise ValueError("matrix is not symmetric")
-    return [Fraction(n, d) for n, d in _pivots(a, swap=False)[1]]
+    pivots, previous = [], 1
+    for k in range(1, len(a) + 1):
+        minor = determinant([row[:k] for row in a[:k]])
+        pivots.append(minor / previous)
+        if not minor:
+            break
+        previous = minor
+    return pivots

@@ -156,6 +156,8 @@ class Polynomial:
                 )
             if any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError(f"exponents must be nonnegative ints, got {exps}")
+            if exps in canon:
+                raise ValueError(f"exponent vector {exps} is listed twice")
             canon[exps] = as_rational(coeff)
         den, nums = over_common_denominator(canon.values())
         return cls._canonical(num_vars, den, {e: v for e, v in zip(canon, nums) if v})

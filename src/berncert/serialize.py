@@ -10,10 +10,11 @@ by the form it builds or by ``verify_tree``'s replay.
 Simplices and forms are written and read in their integer form: each
 value is reduced with one gcd on the way out, and an int or "p/q"
 literal is read as ints on the way in, so no node builds a ``Fraction``.
-Any other literal goes through ``rational_from_json``.  Every index,
-degree and vertex is checked by the types' own checked constructors
-(``BernsteinForm._from_ratios``, ``Simplex._from_ints``); a form's
-decoder adds only its "listed twice" check.
+Any other literal goes through ``rational_from_json``.  Every index
+(an index listed twice included), degree and vertex is checked by the
+types' own checked constructors (``BernsteinForm._from_ratios``,
+``Simplex._from_ints``); the simplex decoder checks only the payload's
+shape.
 """
 
 from __future__ import annotations
@@ -88,10 +89,10 @@ def simplex_to_json(simplex: Simplex) -> dict:
 
 
 def simplex_from_json(obj) -> Simplex:
-    if isinstance(obj, dict):
-        vertices = obj["vertices"]
-    else:
-        vertices = obj
+    """A list of vertex lists, or an object whose "vertices" is one; else a ValueError."""
+    vertices = obj.get("vertices") if isinstance(obj, dict) else obj
+    if not isinstance(vertices, list) or not all(isinstance(v, list) for v in vertices):
+        raise ValueError('a simplex is a list of vertex lists or {"vertices": [vertex lists]}')
     rows = [[_ratio_from_json(x) for x in vertex] for vertex in vertices]
     den = lcm(*(d for row in rows for _, d in row))
     return Simplex._from_ints(den, tuple(tuple(n * (den // d) for n, d in row) for row in rows))
@@ -112,13 +113,8 @@ def form_to_json(form: BernsteinForm) -> dict:
 def form_from_json(obj) -> BernsteinForm:
     """The form a ``form_to_json`` payload encodes; an index listed twice is a ValueError."""
     system = barycentric_system(simplex_from_json(obj["simplex"]))
-    values = {}
-    for entry in obj["coefficients"]:
-        index = tuple(entry["index"])  # checked by the constructor
-        if index in values:
-            raise ValueError(f"coefficient index {list(index)} is listed twice")
-        values[index] = entry["value"]
-    return BernsteinForm._from_ratios(system, obj["degree"], values, _ratio_from_json)
+    pairs = ((entry["index"], entry["value"]) for entry in obj["coefficients"])
+    return BernsteinForm._from_ratios(system, obj["degree"], pairs, _ratio_from_json)
 
 
 def status_to_json(status: CertStatus) -> dict:

@@ -241,15 +241,25 @@ def test_constructor_and_json_share_the_checked_constructor(monkeypatch):
     calls = []
     checked = BernsteinForm._from_ratios.__func__
 
-    def spy(cls, *args):
-        calls.append(args[1:3])
-        return checked(cls, *args)
+    def spy(cls, system, degree, pairs, ratio):
+        pairs = list(pairs)
+        calls.append((degree, pairs))
+        return checked(cls, system, degree, pairs, ratio)
 
     monkeypatch.setattr(BernsteinForm, "_from_ratios", classmethod(spy))
     system = barycentric_system(standard_simplex(1))
     form = BernsteinForm(system, 2, {(2, 0): Fraction(1, 2), (0, 2): 0})
     assert form_from_json(form_to_json(form)) == form
-    assert calls == [(2, {(2, 0): Fraction(1, 2), (0, 2): 0}), (2, {(2, 0): "1/2"})]
+    assert calls == [(2, [((2, 0), Fraction(1, 2)), ((0, 2), 0)]), (2, [((2, 0), "1/2")])]
+
+
+def test_keys_naming_the_same_index_are_rejected():
+    # otherwise distinct keys that convert to one tuple would keep only the last value
+    with pytest.raises(ValueError, match=r"exponent vector \(1,\) is listed twice"):
+        Polynomial(1, {(1,): 1, range(1, 2): 2})
+    system = barycentric_system(standard_simplex(1))
+    with pytest.raises(ValueError, match=r"coefficient index \[1, 0\] is listed twice"):
+        BernsteinForm(system, 1, {(1, 0): 1, range(1, -1, -1): 2})
 
 
 def test_degree_elevate_preserves_polynomial():

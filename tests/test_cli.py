@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -95,11 +99,32 @@ def test_exit_code_bad_simplex_spec(tmp_path, capsys):
         ["restrict", "x1^2 + x2", "--to", "std3"],  # not the polynomial's dimension
         ["convert", "x1", "--simplex", f"@{deep}"],
         ["restrict", DEMO, "--to", f"@{deep}"],
+        ["convert", "x1", "--simplex", "5"],  # JSON, but not a list of vertex lists
+        ["convert", "x1", "--simplex", '{"a": 1}'],
+        ["convert", "x1", "--simplex", '"std1"'],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+def test_module_entry_point_passes_the_exit_code():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "berncert", *argv], capture_output=True, text=True, env=env
+        )
+
+    ok = module("certify", "x1", "--json")
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["status"] == "certified"
+    degenerate = module("convert", "x1", "--simplex", "[[0],[0]]")
+    assert degenerate.returncode == 4
+    assert degenerate.stdout == ""
+    assert degenerate.stderr.startswith("error:")
 
 
 def test_exit_code_recursion_limit(capsys):

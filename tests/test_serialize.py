@@ -78,6 +78,13 @@ def test_form_json_is_sorted_and_exact():
     assert values[(0, 0, 4)] == 30
 
 
+def test_simplex_decoder_names_the_expected_shape():
+    for bad in (5, {"a": 1}, "std1", {"vertices": 3}, [[0], 5], ([0], [1])):
+        with pytest.raises(ValueError, match="list of vertex lists"):
+            simplex_from_json(bad)
+    assert simplex_from_json({"vertices": [[0], [1]]}) == standard_simplex(1)
+
+
 def test_repeated_coefficient_index_is_rejected():
     # a repeated index used to keep its last entry, so a stray first entry
     # left a tree that still verified
