@@ -22,8 +22,13 @@ reads ``nums``), and equality cross-multiplies numerators.
 lift) and ``from_bernstein`` (the sum above) read the same unscaled
 table {alpha: lambda^alpha}, built from the barycentric coordinates with
 one polynomial multiplication per index; each function's docstring
-gives its integer arithmetic, as does ``degree_elevate``'s.  The only
-Fractions a conversion builds are the solve's solution entries.  Kernel
+gives its integer arithmetic, as does ``degree_elevate``'s.  A
+conversion's index tables (the solve's columns and rows, the lift's
+multinomials and factorial weights) depend only on the sizes and are
+built once per size.  A conversion or elevation to a form with more
+than ``MAX_COEFFICIENTS`` coefficients is refused before any index is
+enumerated.  The only Fractions a conversion builds are the solve's
+solution entries.  Kernel
 outputs are wrapped unchecked (``BernsteinForm._canonical``); the public
 constructor and ``serialize.form_from_json`` both build through the one
 checked constructor, ``BernsteinForm._from_ratios``.
@@ -38,7 +43,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, lcm, prod
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from . import linalg
@@ -65,6 +72,22 @@ __all__ = [
     "cert_status",
     "enclosure_bound",
 ]
+
+
+# The most coefficients C(n+d, n) a degree-d form on an n-simplex may have;
+# a conversion or elevation to a larger form is a ValueError before any
+# index is enumerated.  The largest form the tests and the benchmark build
+# has 126 (n = 4 at degree 5); n = 2 at degree 40 has 861.
+MAX_COEFFICIENTS = 5000
+
+
+def _check_size(n: int, degree: int) -> None:
+    count = comb(n + degree, n)
+    if count > MAX_COEFFICIENTS:
+        raise ValueError(
+            f"a degree-{degree} form on a simplex of dimension {n} has {count} coefficients, "
+            f"more than the limit of {MAX_COEFFICIENTS}"
+        )
 
 
 class DegreeTooLowError(ValueError):
@@ -254,27 +277,52 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
     denominator is the solution's times d!.  The lift shares no code with
     ``degree_elevate``, the search's stepwise rule, so ``verify_tree``'s
     leaf check stays independent of the search's moves.  Raises
-    DegreeTooLowError if degree < deg(p) (no exact representation).
+    DegreeTooLowError if degree < deg(p) (no exact representation), and
+    ValueError if the form would have more than MAX_COEFFICIENTS
+    coefficients.
     """
     n = system.simplex.dimension
     if p.num_vars != n:
         raise ValueError(f"variable count mismatch: {p.num_vars} != {n}")
     if p.degree > as_int(degree, "degree"):
         raise DegreeTooLowError(required=p.degree, requested=degree)
+    _check_size(n, degree)
     den, power = _solve_at_degree(p, system, p.degree)
-    lift = degree - p.degree
-    deltas = [(e, multinomial(lift, e)) for e in vectors_with_sum(n + 1, lift)]
+    deltas, weights = _lift_tables(n + 1, degree - p.degree, degree)
     acc: dict[tuple[int, ...], int] = {}
     for alpha, num in power.items():
         for delta, m in deltas:
             gamma = tuple(a + b for a, b in zip(alpha, delta))
             acc[gamma] = acc.get(gamma, 0) + num * m
-    nums = {
-        gamma: acc[gamma] * prod(map(factorial, gamma))
-        for gamma in vectors_with_sum(n + 1, degree)
-        if acc.get(gamma)
-    }
+    nums = {gamma: acc[gamma] * w for gamma, w in weights if acc.get(gamma)}
     return BernsteinForm._canonical(system, degree, den * factorial(degree), nums)
+
+
+@lru_cache(maxsize=64)
+def _lift_tables(slots: int, lift: int, degree: int) -> tuple[tuple, tuple]:
+    """The lift's ((delta, M(lift, delta)) for |delta| = lift) and
+    ((gamma, prod(gamma_i!)) for |gamma| = degree), in lex order.
+
+    Cached: every conversion of one size reads the same tables.
+    """
+    deltas = tuple((e, multinomial(lift, e)) for e in vectors_with_sum(slots, lift))
+    weights = tuple((g, prod(map(factorial, g))) for g in vectors_with_sum(slots, degree))
+    return deltas, weights
+
+
+@lru_cache(maxsize=64)
+def _system_indices(n: int, degree: int) -> tuple[tuple, MappingProxyType]:
+    """The solve's columns, the alphas with |alpha| = degree in lex order,
+    and its rows, {exponent vector: row} over the n-variable monomials of
+    degree <= degree in graded-lex order.
+
+    Cached: every conversion of one size reads the same tables.
+    """
+    alphas = tuple(vectors_with_sum(n + 1, degree))
+    monomials = (e for t in range(degree + 1) for e in vectors_with_sum(n, t))
+    row = {e: r for r, e in enumerate(monomials)}
+    assert len(alphas) == len(row)
+    return alphas, MappingProxyType(row)
 
 
 def _solve_at_degree(
@@ -287,12 +335,7 @@ def _solve_at_degree(
     integer matrix against den * p.den * p, and D is p.den times the
     solution's common denominator.
     """
-    n = system.simplex.dimension
-    alphas = list(vectors_with_sum(n + 1, degree))
-    monomials = (e for t in range(degree + 1) for e in vectors_with_sum(n, t))
-    row = {e: r for r, e in enumerate(monomials)}
-    assert len(alphas) == len(row)
-
+    alphas, row = _system_indices(system.simplex.dimension, degree)
     table = _basis(system, alphas)
     den = lcm(*(lam.den for lam in table.values()))
     matrix = [[0] * len(alphas) for _ in alphas]
@@ -334,9 +377,11 @@ def degree_elevate(form: BernsteinForm, steps: int) -> BernsteinForm:
     applied ``steps`` times.  The represented polynomial is unchanged.
     The steps run on the form's integer numerators: a step is
     N'_gamma = sum_i gamma_i * N_{gamma - e_i} and multiplies the
-    denominator by d+1.
+    denominator by d+1.  A target form with more than MAX_COEFFICIENTS
+    coefficients is a ValueError.
     """
     as_int(steps, "elevation steps", minimum=1)
+    _check_size(form.simplex.dimension, form.degree + steps)
     slots = form.simplex.dimension + 1
     acc = form.nums
     den = form.den

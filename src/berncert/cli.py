@@ -7,7 +7,9 @@ manifest.  Errors go to standard error only and nothing is printed to
 standard output on a failed run.
 
 Exit codes: 0 success/Certified, 1 Exhausted or report mismatch,
-2 unparseable input, 3 requested degree below the polynomial degree,
+2 bad input (unparseable, an invalid value, or a form with more than
+``bernstein.MAX_COEFFICIENTS`` coefficients to convert or elevate to),
+3 requested degree below the polynomial degree,
 4 degenerate simplex, 5 certify's search nested deeper than the
 recursion limit.
 """

@@ -10,11 +10,16 @@ pivot, serves the determinant, the solve and the inverse.  Each row of
 [A | B] is scaled by the lcm of its denominators; a row update is then
 integer arithmetic, and the updated row is divided by the gcd of its
 entries (its content), which keeps the integers at the size of the
-row's primitive part.  Back-substitution keeps the solution as integer
-numerators over one common denominator, so a Fraction is built only
-once per output entry.  A plain int entry is kept as it is (a bool is
-rejected like a float), so an integer system builds no Fraction before
-its solution.  The LDL^T pivots are the ratios of successive leading
+row's primitive part.  Back-substitution keeps each solution column as
+integer numerators over one common denominator, rescaling a column's
+solved entries in one pass when that denominator grows, so a Fraction
+is built only once per output entry.  One type test per row
+(``set(map(type, row)) <= {int}``, run in C) finds the rows of plain
+ints: such a row is copied as it is, with scale 1, and runs no Python
+call per entry, so an integer system builds no Fraction before its
+solution.  Any other row (a bool, float, str or Fraction anywhere in
+it) is checked and scaled entry by entry; a bool is rejected like a
+float.  The LDL^T pivots are the ratios of successive leading
 principal minors, each one a ``determinant``.
 
 Bareiss's integer-preserving elimination (Math. Comp. 1968) divides
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 from .polynomials import as_rational, over_common_denominator
 
@@ -39,13 +45,24 @@ class SingularMatrixError(ValueError):
     pass
 
 
+def _plain_ints(row: list) -> bool:
+    """Whether every entry is a plain int (a bool is not one): one type test per row."""
+    return set(map(type, row)) <= {int}
+
+
 def _entry(v) -> int | Fraction:
     """A plain int as it is (a bool is not one), anything else through ``as_rational``."""
     return v if type(v) is int else as_rational(v)
 
 
+def _row(values) -> list[int | Fraction]:
+    """``values`` as a new list: as they are if every entry is a plain int, else through ``_entry``."""
+    row = list(values)
+    return row if _plain_ints(row) else [_entry(v) for v in row]
+
+
 def _copy(matrix) -> list[list[int | Fraction]]:
-    rows = [[_entry(v) for v in row] for row in matrix]
+    rows = [_row(row) for row in matrix]
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square matrix required")
@@ -53,8 +70,10 @@ def _copy(matrix) -> list[list[int | Fraction]]:
 
 
 def _integer_rows(rows: list[list[int | Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, and those row scales."""
-    scales, out = zip(*map(over_common_denominator, rows))
+    """Each row times the lcm of its denominators, and those row scales;
+    a row of plain ints is kept as it is, with scale 1."""
+    scaled = [(1, row) if _plain_ints(row) else over_common_denominator(row) for row in rows]
+    scales, out = zip(*scaled)
     return list(out), list(scales)
 
 
@@ -105,33 +124,32 @@ def _eliminate(rows: list[list[int]], factors: list[list[int]] | None = None) ->
 def _solve_augmented(a: list[list[int | Fraction]]) -> list[list[Fraction]]:
     """X with A X = B for the rows [A | B] of ``a``; SingularMatrixError if A is singular.
 
-    After the elimination, back-substitution keeps X as integer numerators
-    over one common denominator ``den``: row r's numerators over den * piv
-    are reduced by their gcd with piv, and den grows only by what is left
-    of piv.
+    After the elimination, back-substitution keeps each column of X as
+    integer numerators over one common denominator ``den``: row r's
+    numerators over den * piv are reduced by their gcd with piv, and den
+    grows only by what is left of piv, which rescales the entries already
+    solved, one list per column.
     """
     rows, _ = _integer_rows(a)
     if not _eliminate(rows):
         raise SingularMatrixError("singular matrix")
     n = len(rows)
     den = 1
-    y: list = [None] * n
+    cols = [[0] * n for _ in range(len(rows[0]) - n)]
     for r in range(n - 1, -1, -1):
         row = rows[r]
         piv = row[r]
-        known = [k for k in range(r + 1, n) if row[k]]
-        nums = [
-            den * b - sum(row[k] * y[k][c] for k in known)
-            for c, b in enumerate(row[n:])
-        ]
+        upper = row[r + 1 : n]
+        nums = [den * b - sum(map(mul, upper, col[r + 1 :])) for b, col in zip(row[n:], cols)]
         g = gcd(piv, *nums)
         scale = piv // g
         if scale != 1:
-            for k in range(r + 1, n):
-                y[k] = [v * scale for v in y[k]]
+            for col in cols:
+                col[r + 1 :] = [v * scale for v in col[r + 1 :]]
             den *= scale
-        y[r] = [v // g for v in nums]
-    return [[Fraction(v, den) for v in out] for out in y]
+        for col, v in zip(cols, nums):
+            col[r] = v // g
+    return [[Fraction(v, den) for v in out] for out in zip(*cols)]
 
 
 def determinant(matrix) -> Fraction:
@@ -150,7 +168,7 @@ def determinant(matrix) -> Fraction:
 def solve(matrix, rhs) -> list[Fraction]:
     """Solve A x = b exactly; raises SingularMatrixError if A is singular."""
     a = _copy(matrix)
-    b = [_entry(v) for v in rhs]
+    b = _row(rhs)
     if len(b) != len(a):
         raise ValueError("rhs length does not match matrix")
     for row, v in zip(a, b):

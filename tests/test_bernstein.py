@@ -21,6 +21,7 @@ from berncert import (
     standard_simplex,
     to_bernstein,
 )
+from berncert.bernstein import MAX_COEFFICIENTS
 from berncert.polynomials import multinomial, vectors_with_sum
 from berncert.serialize import form_from_json, form_to_json
 from helpers import rand_point_in, rand_polynomial, rand_simplex
@@ -292,6 +293,18 @@ def test_degree_elevate_needs_positive_steps():
     for steps in (0, True):
         with pytest.raises(ValueError):
             degree_elevate(form, steps)
+
+
+def test_forms_above_the_coefficient_limit_are_rejected():
+    # on the 2-simplex, degree 98 has C(100, 2) = 4950 coefficients and degree 99 has 5050
+    assert MAX_COEFFICIENTS == 5000
+    system = barycentric_system(standard_simplex(2))
+    x1 = parse_polynomial("x1", 2)
+    assert len(to_bernstein(x1, system, 98).nums) == 4851  # the indices with gamma_1 > 0
+    with pytest.raises(ValueError, match="5050 coefficients"):
+        to_bernstein(x1, system, 99)
+    with pytest.raises(ValueError, match="5050 coefficients"):
+        degree_elevate(to_bernstein(x1, system, 1), 98)
 
 
 def test_cert_status_classification():

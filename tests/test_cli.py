@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,6 +108,21 @@ def test_exit_code_bad_simplex_spec(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+def test_exit_code_form_too_large(capsys):
+    # rejected from the coefficient count C(n+d, n) before any index is enumerated
+    for argv in (
+        ["convert", "x1^99999999999"],
+        ["elevate", "x1", "--by", "99999999999"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "coefficients" in err
 
 
 def test_module_entry_point_passes_the_exit_code():

@@ -131,11 +131,16 @@ def test_integer_entries_match_fraction_entries():
     rng = random.Random(29)
     checked = 0
     while checked < 12:
-        n = rng.randint(1, 5)
+        n = rng.randint(1, 12)
         ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         fracs = [[Fraction(v) for v in row] for row in ints]
+        # plain-int rows and Fraction rows in one matrix, as the row-level test sees them
+        mixed_rows = [
+            row if i % 2 else [v + Fraction(1, 2) for v in row] for i, row in enumerate(ints)
+        ]
         assert determinant(ints) == determinant(fracs)
-        if determinant(fracs) == 0:
+        assert determinant(mixed_rows) == determinant([[Fraction(v) for v in row] for row in mixed_rows])
+        if determinant(fracs) == 0 or determinant(mixed_rows) == 0:
             continue
         rhs = [rng.randint(-9, 9) for _ in range(n)]
         assert solve(ints, rhs) == solve(fracs, [Fraction(v) for v in rhs])
@@ -143,6 +148,12 @@ def test_integer_entries_match_fraction_entries():
         mixed = [rand_rational(rng) for _ in range(n)]
         assert solve(ints, mixed) == solve(fracs, mixed)
         assert invert(ints) == invert(fracs)
+        inv = invert(mixed_rows)
+        for i in range(n):
+            for j in range(n):
+                assert sum(mixed_rows[i][k] * inv[k][j] for k in range(n)) == (i == j)
+        x = solve(mixed_rows, rhs)
+        assert [sum(a * v for a, v in zip(row, x)) for row in mixed_rows] == rhs
         checked += 1
 
 
@@ -156,3 +167,25 @@ def test_bool_and_float_entries_are_rejected():
             solve([[1, bad], [0, 1]], [1, 1])
         with pytest.raises(TypeError):
             solve([[1, 0], [0, 1]], [1, bad])
+        # last in a longer row of plain ints, so only a test of the whole row sees it
+        longer = [[int(i == j) for j in range(6)] for i in range(6)]
+        longer[2][-1] = bad
+        for call in (determinant, invert, lambda m: solve(m, [1] * 6)):
+            with pytest.raises(TypeError):
+                call(longer)
+        with pytest.raises(TypeError):
+            solve([[int(i == j) for j in range(6)] for i in range(6)], [1] * 5 + [bad])
+
+
+def test_arguments_are_left_unchanged():
+    # the rows of plain ints are copied, not rebuilt: a row shared with the caller
+    # would be extended by the right-hand side and rewritten by the elimination
+    matrix = [[0, 2, 1], [3, 1, 4], [Fraction(1, 2), 5, 9]]
+    rhs = [1, Fraction(-2, 3), 5]
+    rows = list(matrix)
+    entries = [list(row) for row in matrix]
+    for call in (determinant, invert, lambda m: solve(m, rhs)):
+        call(matrix)
+        assert all(a is b for a, b in zip(matrix, rows)) and len(matrix) == 3
+        assert matrix == entries
+        assert rhs == [1, Fraction(-2, 3), 5]
