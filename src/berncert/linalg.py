@@ -13,7 +13,7 @@ entries (its content), which keeps the integers at the size of the
 row's primitive part.  Back-substitution keeps each solution column as
 integer numerators over one common denominator, rescaling a column's
 solved entries in one pass when that denominator grows, so a Fraction
-is built only once per output entry.  One type test per row
+is built only once per output entry.  A type test of the whole row
 (``set(map(type, row)) <= {int}``, run in C) finds the rows of plain
 ints: such a row is copied as it is, with scale 1, and runs no Python
 call per entry, so an integer system builds no Fraction before its
@@ -46,7 +46,7 @@ class SingularMatrixError(ValueError):
 
 
 def _plain_ints(row: list) -> bool:
-    """Whether every entry is a plain int (a bool is not one): one type test per row."""
+    """Whether every entry is a plain int (a bool is not one), in one test of the whole row."""
     return set(map(type, row)) <= {int}
 
 
@@ -56,7 +56,7 @@ def _entry(v) -> int | Fraction:
 
 
 def _row(values) -> list[int | Fraction]:
-    """``values`` as a new list: as they are if every entry is a plain int, else through ``_entry``."""
+    """``values`` as a new list: as they are if all are plain ints, else through ``_entry``."""
     row = list(values)
     return row if _plain_ints(row) else [_entry(v) for v in row]
 

@@ -139,7 +139,8 @@ def test_integer_entries_match_fraction_entries():
             row if i % 2 else [v + Fraction(1, 2) for v in row] for i, row in enumerate(ints)
         ]
         assert determinant(ints) == determinant(fracs)
-        assert determinant(mixed_rows) == determinant([[Fraction(v) for v in row] for row in mixed_rows])
+        mixed_fracs = [[Fraction(v) for v in row] for row in mixed_rows]
+        assert determinant(mixed_rows) == determinant(mixed_fracs)
         if determinant(fracs) == 0 or determinant(mixed_rows) == 0:
             continue
         rhs = [rng.randint(-9, 9) for _ in range(n)]
