@@ -29,6 +29,7 @@ from .bernstein import (
     CertKind,
     CertStatus,
     DegreeTooLowError,
+    _check_size,
     cert_status,
     degree_elevate,
     from_bernstein,
@@ -189,11 +190,14 @@ def certify(p: Polynomial, simplex: Simplex, config: CertifyConfig) -> Certifica
     The returned tree is Certified for ``config.target`` iff every leaf's
     status meets the target (see ``is_certified``); otherwise the search
     is exhausted and ``failing_leaves`` lists the indeterminate frontier.
+    A cap whose form has more than ``bernstein.MAX_COEFFICIENTS``
+    coefficients is a ValueError before any search, under every strategy.
     """
     start_degree = p.degree
     max_degree = config.degree_cap(start_degree)
     if max_degree < start_degree:
         raise DegreeTooLowError(required=start_degree, requested=max_degree)
+    _check_size(simplex.dimension, max_degree)
     root_form = to_bernstein(p, barycentric_system(simplex), start_degree)
     return _grow(root_form, 0, config, max_degree)
 

@@ -8,7 +8,8 @@ standard output on a failed run.
 
 Exit codes: 0 success/Certified, 1 Exhausted or report mismatch,
 2 bad input (unparseable, an invalid value, or a form with more than
-``bernstein.MAX_COEFFICIENTS`` coefficients to convert or elevate to),
+``bernstein.MAX_COEFFICIENTS`` coefficients to convert or elevate to,
+which certify checks for its --max-degree before the search),
 3 requested degree below the polynomial degree,
 4 degenerate simplex, 5 certify's search nested deeper than the
 recursion limit.
@@ -255,8 +256,9 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
             }
             for path, leaf in frontier
         ],
-        "tree": tree_to_json(tree),
     }
+    if args.json or args.manifest is not None:  # text mode prints no tree
+        payload["tree"] = tree_to_json(tree)
 
     nodes = leaves = height = 0
     for path, node in walk(tree):

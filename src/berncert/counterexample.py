@@ -245,13 +245,11 @@ def transfer_vertex_v1(form: BernsteinForm, beta) -> BernsteinForm:
     nondegenerate).  New coefficients, over the form's denominator times Q^d:
     b~_g = sum over |a| = d with a0 >= g0, a2 >= g2 of
            g1! / ((a0-g0)! a1! (a2-g2)!) beta0^(a0-g0) beta1^a1 beta2^(a2-g2) b_a
+
+    This is ``transfer_combined`` at rho = 0, where only its k = g2 term
+    is left.
     """
-    simplex, beta, _ = _moved_triangle(form.simplex, beta, 0)
-    d = form.degree
-    den, weights = _vertex_weights(beta, d)
-    sums = {g: _vertex_sum(form.nums, weights, g) for g in vectors_with_sum(3, d)}
-    out = {g: v * den ** (d - g[1]) for g, v in sums.items() if v}
-    return BernsteinForm._canonical(barycentric_system(simplex), d, form.den * den**d, out)
+    return transfer_combined(form, beta, 0)
 
 
 def transfer_combined(form: BernsteinForm, beta, rho) -> BernsteinForm:
@@ -279,6 +277,7 @@ def transfer_combined(form: BernsteinForm, beta, rho) -> BernsteinForm:
         total = sum(
             w * _vertex_sum(form.nums, weights, (g0 + g2 - k, g1, k))
             for k, w in enumerate(edge[g2])
+            if w  # at rho = 0 only k = g2 is left
         )
         if total:
             out[g0, g1, g2] = total * den ** (d - g1)

@@ -7,20 +7,18 @@ exact; no pivot-size heuristics are needed, only nonzero pivots.
 
 One fraction-free Gaussian elimination, with a row swap at a zero
 pivot, serves the determinant, the solve and the inverse.  Each row of
-[A | B] is scaled by the lcm of its denominators; a row update is then
-integer arithmetic, and the updated row is divided by the gcd of its
-entries (its content), which keeps the integers at the size of the
-row's primitive part.  Back-substitution keeps each solution column as
-integer numerators over one common denominator, rescaling a column's
-solved entries in one pass when that denominator grows, so a Fraction
-is built only once per output entry.  A type test of the whole row
-(``set(map(type, row)) <= {int}``, run in C) finds the rows of plain
-ints: such a row is copied as it is, with scale 1, and runs no Python
-call per entry, so an integer system builds no Fraction before its
-solution.  Any other row (a bool, float, str or Fraction anywhere in
-it) is checked and scaled entry by entry; a bool is rejected like a
-float.  The LDL^T pivots are the ratios of successive leading
-principal minors, each one a ``determinant``.
+[A | B] is read once, by ``polynomials.over_common_denominator``, as
+integers over the lcm of its denominators: a row of plain ints is found
+by one type test run in C and kept with scale 1, so an integer system
+builds no Fraction before its solution, and a bool or float anywhere is
+rejected.  A row update is then integer arithmetic, and the updated row
+is divided by the gcd of its entries (its content), which keeps the
+integers at the size of the row's primitive part.  Back-substitution
+keeps each solution column as integer numerators over one common
+denominator, rescaling a column's solved entries in one pass when that
+denominator grows, so a Fraction is built only once per output entry.
+The LDL^T pivots are the ratios of successive leading principal minors,
+each one a ``determinant``.
 
 Bareiss's integer-preserving elimination (Math. Comp. 1968) divides
 every row by the previous pivot instead.  On the basis-change matrices
@@ -36,7 +34,7 @@ from fractions import Fraction
 from math import gcd, prod
 from operator import mul
 
-from .polynomials import as_rational, over_common_denominator
+from .polynomials import over_common_denominator
 
 __all__ = ["SingularMatrixError", "determinant", "solve", "invert", "ldl_pivots"]
 
@@ -45,36 +43,24 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def _plain_ints(row: list) -> bool:
-    """Whether every entry is a plain int (a bool is not one), in one test of the whole row."""
-    return set(map(type, row)) <= {int}
-
-
-def _entry(v) -> int | Fraction:
-    """A plain int as it is (a bool is not one), anything else through ``as_rational``."""
-    return v if type(v) is int else as_rational(v)
-
-
-def _row(values) -> list[int | Fraction]:
-    """``values`` as a new list: as they are if all are plain ints, else through ``_entry``."""
-    row = list(values)
-    return row if _plain_ints(row) else [_entry(v) for v in row]
-
-
-def _copy(matrix) -> list[list[int | Fraction]]:
-    rows = [_row(row) for row in matrix]
+def _integer_rows(matrix, rhs=None, identity=False) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The rows of [A | B] as ints over their lcm denominators, and those row scales:
+    A is the square ``matrix``, B the column ``rhs``, the identity, or empty."""
+    rows = [list(row) for row in matrix]
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square matrix required")
-    return rows
-
-
-def _integer_rows(rows: list[list[int | Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, and those row scales;
-    a row of plain ints is kept as it is, with scale 1."""
-    scaled = [(1, row) if _plain_ints(row) else over_common_denominator(row) for row in rows]
-    scales, out = zip(*scaled)
-    return list(out), list(scales)
+    if rhs is not None:
+        rhs = list(rhs)
+        if len(rhs) != n:
+            raise ValueError("rhs length does not match matrix")
+        for row, v in zip(rows, rhs):
+            row.append(v)
+    if identity:
+        for i, row in enumerate(rows):
+            row.extend(int(i == j) for j in range(n))
+    scales, rows = zip(*map(over_common_denominator, rows))
+    return list(rows), scales
 
 
 def _eliminate(rows: list[list[int]], factors: list[list[int]] | None = None) -> int:
@@ -121,8 +107,8 @@ def _eliminate(rows: list[list[int]], factors: list[list[int]] | None = None) ->
     return sign
 
 
-def _solve_augmented(a: list[list[int | Fraction]]) -> list[list[Fraction]]:
-    """X with A X = B for the rows [A | B] of ``a``; SingularMatrixError if A is singular.
+def _solve_augmented(rows: list[list[int]]) -> list[list[Fraction]]:
+    """X with A X = B for the integer rows [A | B]; SingularMatrixError if A is singular.
 
     After the elimination, back-substitution keeps each column of X as
     integer numerators over one common denominator ``den``: row r's
@@ -130,7 +116,6 @@ def _solve_augmented(a: list[list[int | Fraction]]) -> list[list[Fraction]]:
     grows only by what is left of piv, which rescales the entries already
     solved, one list per column.
     """
-    rows, _ = _integer_rows(a)
     if not _eliminate(rows):
         raise SingularMatrixError("singular matrix")
     n = len(rows)
@@ -158,7 +143,7 @@ def determinant(matrix) -> Fraction:
     Pivot k is the integer diagonal entry over what its row was
     multiplied by; a singular matrix has sign 0.
     """
-    rows, scales = _integer_rows(_copy(matrix))
+    rows, scales = _integer_rows(matrix)
     factors = [[s, 1] for s in scales]
     sign = _eliminate(rows, factors)
     num = sign * prod(row[k] * den for k, (row, (_, den)) in enumerate(zip(rows, factors)))
@@ -167,21 +152,14 @@ def determinant(matrix) -> Fraction:
 
 def solve(matrix, rhs) -> list[Fraction]:
     """Solve A x = b exactly; raises SingularMatrixError if A is singular."""
-    a = _copy(matrix)
-    b = _row(rhs)
-    if len(b) != len(a):
-        raise ValueError("rhs length does not match matrix")
-    for row, v in zip(a, b):
-        row.append(v)
-    return [x for (x,) in _solve_augmented(a)]
+    rows, _ = _integer_rows(matrix, rhs=rhs)
+    return [x for (x,) in _solve_augmented(rows)]
 
 
 def invert(matrix) -> list[list[Fraction]]:
     """Exact inverse: solve A X = I for the identity columns."""
-    a = _copy(matrix)
-    for i, row in enumerate(a):
-        row.extend(int(i == j) for j in range(len(a)))
-    return _solve_augmented(a)
+    rows, _ = _integer_rows(matrix, identity=True)
+    return _solve_augmented(rows)
 
 
 def ldl_pivots(matrix) -> list[Fraction]:
@@ -190,15 +168,19 @@ def ldl_pivots(matrix) -> list[Fraction]:
     Pivot k is the ratio of the leading minors of orders k+1 and k.  The
     list stops at the first zero pivot, so it may be shorter than the
     dimension; the matrix is positive definite iff all n pivots exist and
-    are positive.  Raises ValueError for a non-symmetric input.
+    are positive.  Raises ValueError for a non-symmetric input.  Integer
+    row i is s_i times row i of A, so the symmetry test cross-multiplies
+    by the scales, and with D_k the integer rows' leading minors, pivot k
+    is D_(k+1) / (D_k * s_k).
     """
-    a = _copy(matrix)
-    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
+    rows, scales = _integer_rows(matrix)
+    n = len(rows)
+    if any(rows[i][j] * scales[j] != rows[j][i] * scales[i] for i in range(n) for j in range(i)):
         raise ValueError("matrix is not symmetric")
     pivots, previous = [], 1
-    for k in range(1, len(a) + 1):
-        minor = determinant([row[:k] for row in a[:k]])
-        pivots.append(minor / previous)
+    for k in range(1, n + 1):
+        minor = determinant([row[:k] for row in rows[:k]]).numerator  # an int: the rows are ints
+        pivots.append(Fraction(minor, previous * scales[k - 1]))
         if not minor:
             break
         previous = minor

@@ -31,7 +31,6 @@ from math import factorial, gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
-Exponents = "tuple[int, ...]"
 RationalLike = Union[int, str, Fraction]
 
 __all__ = [
@@ -85,9 +84,16 @@ def as_int(value, name: str, minimum: int | None = 0) -> int:
     return value
 
 
-def over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """(D, [D * v for v in values]): the rationals as integers over their lcm denominator D."""
+def over_common_denominator(values: Iterable[RationalLike]) -> tuple[int, list[int]]:
+    """(D, [D * v for v in values]): exact values, read by ``as_rational``, as ints over
+    their lcm denominator D.  One type test of the whole list, run in C, finds plain ints,
+    which come back as (1, a new list), and ints and Fractions, which need no reading."""
     values = list(values)
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return 1, values
+    if not kinds <= {int, Fraction}:
+        values = list(map(as_rational, values))
     den = lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
 

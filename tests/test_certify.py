@@ -151,6 +151,19 @@ def test_max_degree_below_polynomial_degree_rejected():
         )
 
 
+def test_max_degree_too_large_to_convert_is_rejected_before_the_search(monkeypatch):
+    # the cap's form would have C(122, 2) = 7381 coefficients: no elevation runs
+    calls = []
+    real = _derive.__globals__["degree_elevate"]
+    monkeypatch.setitem(
+        _derive.__globals__, "degree_elevate", lambda *a: calls.append(1) or real(*a)
+    )
+    config = CertifyConfig(max_degree=120, strategy=Strategy.ELEVATION_ONLY, target=Target.POSITIVE)
+    with pytest.raises(ValueError, match="degree-120"):
+        certify(split_demo_polynomial(), STD2, config)
+    assert calls == []
+
+
 def test_config_reads_value_strings_and_rejects_bad_fields():
     # bisect and witness split the counterexample's root on different edges
     p = counterexample_polynomial()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from berncert import COUNTEREXAMPLE_TEXT, standard_simplex
+from berncert import COUNTEREXAMPLE_TEXT, cli, standard_simplex
 from berncert.cli import main
 from berncert.serialize import form_from_json, parse_json_exact, tree_from_json
 
@@ -112,9 +112,11 @@ def test_exit_code_bad_simplex_spec(tmp_path, capsys):
 
 def test_exit_code_form_too_large(capsys):
     # rejected from the coefficient count C(n+d, n) before any index is enumerated
-    for argv in (
-        ["convert", "x1^99999999999"],
-        ["elevate", "x1", "--by", "99999999999"],
+    for argv, degree in (
+        (["convert", "x1^99999999999"], 99999999999),
+        (["elevate", "x1", "--by", "99999999999"], 100000000000),
+        # the cap is checked before the search, not when an elevation reaches it
+        (["certify", DEMO, "--target", "pos", "--strategy", "elevate", "--max-degree", "120"], 120),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -122,7 +124,7 @@ def test_exit_code_form_too_large(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "coefficients" in err
+        assert f"a degree-{degree} form" in err and "coefficients" in err
 
 
 def test_module_entry_point_passes_the_exit_code():
@@ -317,6 +319,58 @@ def test_paper_json_bytes_are_pinned(capsys):
     _, out, _ = run(capsys, "paper", "--json")
     digest = hashlib.sha256(out.rstrip("\n").encode()).hexdigest()
     assert digest == "eb7a0fdf4f9532a7411411f730beac6e76ff0c119cd11bba657ad876ffe8f8a1"
+
+
+def test_text_output_bytes_are_pinned(capsys):
+    # the text mode of each command: any changed byte fails here
+    to = '[[0,0],[1,0],["1/2","1/2"]]'
+    for argv, status, expected in (
+        (
+            ["convert", DEMO, "--simplex", "std2", "--degree", "3"],
+            0,
+            "1b9037a6bcebbf80847b3a47a3d5722208957cc2454b8158d8681b5082c86a03",
+        ),
+        (
+            ["restrict", DEMO, "--simplex", "std2", "--to", to],
+            0,
+            "120609f2eb36e14db4751fb3c19ebabf3a0155ac626fa5ae4726836a8511b4f3",
+        ),
+        (
+            ["elevate", DEMO, "--simplex", "std2", "--by", "2"],
+            0,
+            "fae6dbe9f7d0e9b5023660c1d61c1c76a46ed29c756ec30e885909ef516dbb49",
+        ),
+        (  # Certified
+            ["certify", DEMO, "--simplex", "std2"],
+            0,
+            "4283bf017914ff839275dae7032920cf138bc89dc92a3b0218ad75b715bb1093",
+        ),
+        (  # Exhausted, with its frontier lines
+            ["certify", COUNTEREXAMPLE_TEXT, "--simplex", "std2", "--max-depth", "8"],
+            1,
+            "bae27eb5664c4c4218ebad37ca47b090f6657a6610fe78dc6c2a0b83a4d687c5",
+        ),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (status, "")
+        assert hashlib.sha256(out.rstrip("\n").encode()).hexdigest() == expected, argv
+
+
+def test_certify_builds_the_json_tree_only_when_printed_or_recorded(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    real = cli.tree_to_json
+    monkeypatch.setattr(cli, "tree_to_json", lambda tree: calls.append(1) or real(tree))
+    argv = ["certify", DEMO, "--simplex", "std2"]
+    for extra, expected in (
+        ([], 0),
+        (["--json"], 1),
+        (["--manifest", str(tmp_path / "m.json")], 1),
+    ):
+        calls.clear()
+        assert run(capsys, *argv, *extra)[0] == 0
+        assert len(calls) == expected, extra
 
 
 def test_unknown_command_exits_2(capsys):

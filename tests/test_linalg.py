@@ -100,6 +100,12 @@ def test_ldl_pivots_stop_at_first_zero_pivot():
 def test_ldl_pivots_requires_symmetry():
     with pytest.raises(ValueError):
         ldl_pivots([[1, 2], [3, 1]])
+    # rows with different scales (6 and 2) that hold a symmetric matrix
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert ldl_pivots([[third, half], [half, 5]]) == [third, 5 - half * half / third]
+    # scaled to integers both rows read [1, 1], but the entries are not symmetric
+    with pytest.raises(ValueError):
+        ldl_pivots([[1, 1], [half, half]])
 
 
 def test_ldl_pivots_match_leading_minor_ratios():

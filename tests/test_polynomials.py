@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,6 +11,7 @@ from berncert import (
     format_polynomial,
     parse_polynomial,
 )
+from berncert.polynomials import over_common_denominator
 from helpers import rand_polynomial, rand_rational
 
 
@@ -95,6 +97,36 @@ def test_as_rational_rejects_floats_and_bools():
         as_rational(True)
     assert as_rational("3/4") == Fraction(3, 4)
     assert as_rational(7) == Fraction(7)
+
+
+def test_over_common_denominator_plain_ints_and_empty():
+    values = [3, -1, 0, 7]
+    den, nums = over_common_denominator(values)
+    assert (den, nums) == (1, [3, -1, 0, 7])
+    assert nums is not values  # a new list: the caller's is never handed back
+    assert over_common_denominator([]) == (1, [])
+
+
+def test_over_common_denominator_matches_a_fraction_oracle():
+    rng = random.Random(41)
+    for _ in range(30):
+        exact = [rand_rational(rng) for _ in range(rng.randint(1, 8))]
+        # the same values as ints, Fractions and literal strings, mixed
+        values = [
+            rng.choice([v, str(v)]) if v.denominator != 1 else rng.choice([v, int(v), str(v)])
+            for v in exact
+        ]
+        den, nums = over_common_denominator(values)
+        assert all(type(v) is int for v in nums)
+        assert den == lcm(*(v.denominator for v in exact))
+        assert [Fraction(v, den) for v in nums] == exact
+
+
+def test_over_common_denominator_rejects_bools_and_floats():
+    for bad in (True, False, 0.5, 1.0):
+        for values in ([bad], [1, 2, bad], [Fraction(1, 2), bad, "3"]):
+            with pytest.raises(TypeError):
+                over_common_denominator(values)
 
 
 def test_constructor_canonicalizes():
