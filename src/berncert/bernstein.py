@@ -51,6 +51,7 @@ from typing import Iterable, Iterator, Mapping
 from . import linalg
 from .polynomials import (
     Polynomial,
+    _Immutable,
     as_int,
     as_rational,
     multinomial,
@@ -119,7 +120,7 @@ def _multi_index(index: Iterable[int], slots: int, degree: int) -> tuple[int, ..
     return index
 
 
-class BernsteinForm:
+class BernsteinForm(_Immutable):
     """Coefficients of a polynomial in the degree-d Bernstein basis of a simplex.
 
     ``den`` and ``nums`` hold the coefficients as nonzero int numerators
@@ -171,9 +172,6 @@ class BernsteinForm:
         """{index: nonzero Fraction}, built from ``nums`` on each read."""
         den = self.den
         return {index: Fraction(v, den) for index, v in self.nums.items()}
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BernsteinForm is immutable")
 
     @property
     def simplex(self):

@@ -7,12 +7,15 @@ manifest.  Errors go to standard error only and nothing is printed to
 standard output on a failed run.
 
 Exit codes: 0 success/Certified, 1 Exhausted or report mismatch,
-2 bad input (unparseable, an invalid value, or a form with more than
+2 bad input (unparseable, an invalid value, a literal's exponent beyond
+the integer digit limit, or a form with more than
 ``bernstein.MAX_COEFFICIENTS`` coefficients to convert or elevate to,
-which certify checks for its --max-degree before the search),
-3 requested degree below the polynomial degree,
-4 degenerate simplex, 5 certify's search nested deeper than the
-recursion limit.
+which certify checks for its --max-degree before the search, and every
+command for the polynomial's degree before it builds the default
+simplex), 3 requested degree below the polynomial degree,
+4 degenerate simplex, 5 the recursion limit reached (certify's search,
+or the index enumeration of a form on a simplex of about 990 or more
+dimensions).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .bernstein import BernsteinForm, DegreeTooLowError, degree_elevate, to_bernstein
+from .bernstein import BernsteinForm, DegreeTooLowError, _check_size, degree_elevate, to_bernstein
 from .certify import (
     CertifyConfig,
     Strategy,
@@ -185,6 +188,8 @@ def _parse_simplex_spec(spec: str) -> Simplex:
 def _load_inputs(args) -> tuple[Polynomial, Simplex]:
     if args.simplex is None:
         p = parse_polynomial(args.polynomial)
+        # before the simplex is built: every command converts at p.degree or above
+        _check_size(p.num_vars, p.degree)
         return p, standard_simplex(p.num_vars)
     simplex = _parse_simplex_spec(args.simplex)
     p = parse_polynomial(args.polynomial, num_vars=simplex.dimension)

@@ -31,6 +31,7 @@ Fractions, and the content division measured faster than both.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, prod
 from operator import mul
 
@@ -45,8 +46,10 @@ class SingularMatrixError(ValueError):
 
 def _integer_rows(matrix, rhs=None, identity=False) -> tuple[list[list[int]], tuple[int, ...]]:
     """The rows of [A | B] as ints over their lcm denominators, and those row scales:
-    A is the square ``matrix``, B the column ``rhs``, the identity, or empty."""
-    rows = [list(row) for row in matrix]
+    A is the square ``matrix``, B the column ``rhs``, the identity, or empty.  The
+    shape check reads the caller's rows; ``over_common_denominator`` makes the one
+    copy of each augmented row, which the elimination may then rewrite."""
+    rows = list(matrix)
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square matrix required")
@@ -54,11 +57,9 @@ def _integer_rows(matrix, rhs=None, identity=False) -> tuple[list[list[int]], tu
         rhs = list(rhs)
         if len(rhs) != n:
             raise ValueError("rhs length does not match matrix")
-        for row, v in zip(rows, rhs):
-            row.append(v)
-    if identity:
-        for i, row in enumerate(rows):
-            row.extend(int(i == j) for j in range(n))
+        rows = (chain(row, (v,)) for row, v in zip(rows, rhs))
+    elif identity:
+        rows = (chain(row, (int(i == j) for j in range(n))) for i, row in enumerate(rows))
     scales, rows = zip(*map(over_common_denominator, rows))
     return list(rows), scales
 

@@ -26,6 +26,7 @@ means 1/4).
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add
@@ -52,11 +53,20 @@ class PolynomialParseError(ValueError):
     """Raised when polynomial text does not match the grammar."""
 
 
+# the exponent of a literal as ``Fraction`` spells it: Unicode digits, "_" between them
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+# Python 3.10 before 3.10.7 has no integer digit limit: 0 means none
+_int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or exact literal string to a Fraction.
 
     Floats (and bools) raise TypeError: callers must be explicit about
-    exact values.  Strings accept "3", "-1/2", and decimals like "0.25".
+    exact values.  Strings accept "3", "-1/2", and decimals like "0.25"
+    or "1e3".  An exponent beyond the interpreter's integer digit limit
+    (``sys.get_int_max_str_digits()``, 0 for none) in magnitude is a
+    ValueError, raised before ``Fraction`` builds 10^exponent.
     """
     if isinstance(value, Fraction):
         return value
@@ -65,6 +75,16 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        limit = _int_digit_limit()
+        if exponent and limit:
+            digits = exponent[1].replace("_", "").lstrip("0")
+            # more digits than the limit are refused unread, as int() refuses them
+            if len(digits) > limit or int(digits or 0) > limit:
+                raise ValueError(
+                    f"the exponent of {value!r} exceeds {limit} in magnitude, "
+                    "the interpreter's integer digit limit"
+                )
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -134,7 +154,16 @@ def multinomial(total: int, parts: Iterable[int]) -> int:
     return out
 
 
-class Polynomial:
+class _Immutable:
+    """Base of the exact types: each slot is set once, by ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Polynomial(_Immutable):
     """Sparse polynomial with exact rational coefficients.
 
     ``den`` and ``nums`` hold the coefficients as nonzero int numerators
@@ -178,9 +207,6 @@ class Polynomial:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def zero(cls, num_vars: int) -> "Polynomial":

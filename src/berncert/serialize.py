@@ -190,5 +190,5 @@ def digest(obj) -> str:
 
 
 def parse_json_exact(text: str):
-    """json.loads with float literals parsed as exact Fractions."""
-    return json.loads(text, parse_float=Fraction)
+    """json.loads with float literals read as exact Fractions by ``as_rational``."""
+    return json.loads(text, parse_float=as_rational)

@@ -13,13 +13,13 @@ and ``nums``, the vertices' int numerators over it, not reduced; the
 cross-multiplies, and equal simplices hash equal whatever their ``den``.
 
 The edge-move geometry lives here: ``Simplex._moved(j, i, rho)`` moves
-v_j to w = rho*v_i + (1-rho)*v_j on ints and gives the child its
-parent's determinant times 1-rho, w's weight on v_j, so the children of
-an edge move or split (``subdivision``) run no new elimination and build
-no ``Fraction``; every other simplex, including every one read from
-JSON, is checked in full by the one checked constructor,
-``Simplex._from_ints``.  ``BarycentricSystem`` inverts the integer
-vertex matrix.
+v_j to w = rho*v_i + (1-rho)*v_j on ints.  A move whose moved vertex
+keeps a positive weight on v_j (here 1-rho) needs no check, so the
+children of an edge move or split (``subdivision``) run no elimination
+and build no ``Fraction``; every other simplex, including every one
+read from JSON, is checked in full by the one checked constructor,
+``Simplex._from_ints``.  ``determinant`` is eliminated from the vertices
+on each read.  ``BarycentricSystem`` inverts the integer vertex matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .linalg import determinant, invert
-from .polynomials import Polynomial, as_int, as_rational, over_common_denominator
+from .polynomials import Polynomial, _Immutable, as_int, as_rational, over_common_denominator
 
 __all__ = [
     "DegenerateSimplexError",
@@ -48,14 +48,14 @@ class DegenerateSimplexError(ValueError):
         self.determinant = det
 
 
-class Simplex:
+class Simplex(_Immutable):
     """n+1 affinely independent vertices in Q^n, in a fixed slot order.
 
     ``den`` and ``nums`` hold the vertices as int numerators over one
     positive denominator; ``vertices`` are built from them on each read.
     """
 
-    __slots__ = ("den", "nums", "_det")
+    __slots__ = ("den", "nums")
 
     def __new__(cls, vertices: Iterable[Sequence]) -> "Simplex":
         vs = tuple(tuple(as_rational(c) for c in v) for v in vertices)
@@ -77,19 +77,15 @@ class Simplex:
         det = determinant([[a - b for a, b in zip(v, nums[0])] for v in nums[1:]])
         if det == 0:
             raise DegenerateSimplexError(det)
-        return cls._canonical(den, nums, det.numerator)
+        return cls._canonical(den, nums)
 
     @classmethod
-    def _canonical(cls, den: int, nums: tuple, det: int) -> "Simplex":
-        """Wrap unchecked; ``det`` is the edge matrix's determinant times den^n."""
+    def _canonical(cls, den: int, nums: tuple) -> "Simplex":
+        """Wrap ``nums`` / ``den`` unchecked: the vertices must be nondegenerate."""
         self = object.__new__(cls)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "_det", det)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Simplex is immutable")
 
     @property
     def dimension(self) -> int:
@@ -103,8 +99,10 @@ class Simplex:
 
     @property
     def determinant(self) -> Fraction:
-        """det of the edge matrix (row i is v_{i+1} - v_0)."""
-        return Fraction(self._det, self.den**self.dimension)
+        """det of the edge matrix (row i is v_{i+1} - v_0), eliminated on each read."""
+        nums = self.nums
+        edges = [[a - b for a, b in zip(v, nums[0])] for v in nums[1:]]
+        return determinant(edges) / self.den**self.dimension
 
     def replace_vertex(self, slot: int, point: Sequence) -> "Simplex":
         if as_int(slot, "vertex slot") > self.dimension:
@@ -116,16 +114,15 @@ class Simplex:
     def _moved(self, j: int, i: int, rho: Fraction) -> "Simplex":
         """The simplex with v_j moved to w = rho*v_i + (1-rho)*v_j, built unchecked.
 
-        ``rho`` must be a Fraction with 0 <= rho < 1 and i != j; w's weight
-        on v_j is then 1-rho > 0, so the determinant is the parent's times
-        1-rho and the child is nondegenerate.  With rho = p/q, the child's
+        ``rho`` must be a Fraction with 0 <= rho < 1 and i != j; the moved
+        vertex w then keeps the positive weight 1-rho on v_j, so the child is
+        nondegenerate and needs no check.  With rho = p/q, the child's
         denominator is den*q, w is p*v_i + (q-p)*v_j, and the rest scale by q.
         """
         p, q = rho.numerator, rho.denominator
         nums = [tuple(q * x for x in v) for v in self.nums]
         nums[j] = tuple(p * a + (q - p) * b for a, b in zip(self.nums[i], self.nums[j]))
-        det = self._det * (q - p) * q ** (len(nums) - 2)
-        return Simplex._canonical(self.den * q, tuple(nums), det)
+        return Simplex._canonical(self.den * q, tuple(nums))
 
     def __eq__(self, other):
         if not isinstance(other, Simplex):
@@ -154,7 +151,7 @@ def standard_simplex(n: int) -> Simplex:
     return Simplex._from_ints(1, ((0,) * n, *units))
 
 
-class BarycentricSystem:
+class BarycentricSystem(_Immutable):
     """The simplex together with its coordinate polynomials lambda_0 .. lambda_n.
 
     ``coords`` is solved from the vertices on first read and kept.
@@ -165,9 +162,6 @@ class BarycentricSystem:
     def __init__(self, simplex: Simplex):
         object.__setattr__(self, "simplex", simplex)
         object.__setattr__(self, "_coords", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BarycentricSystem is immutable")
 
     @property
     def coords(self) -> tuple[Polynomial, ...]:

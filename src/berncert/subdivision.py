@@ -16,8 +16,8 @@ are checked formulas of the study and live in ``counterexample``.
 
 The edge move is the search's per-node cost, so ``transfer_edge_v2``
 reads and returns the forms' integer numerators and builds no Fraction.
-The moved simplex itself, w and its determinant (the parent's times
-1-rho, with no new elimination), comes from ``Simplex._moved``.
+The moved simplex comes from ``Simplex._moved``, which needs no check:
+the moved vertex keeps a positive weight on the vertex it replaces.
 """
 
 from __future__ import annotations

@@ -233,7 +233,7 @@ def test_form_is_immutable():
     system = barycentric_system(standard_simplex(2))
     form = to_bernstein(parse_polynomial("x1 - x2", 2), system, 1)
     for name in ("den", "nums", "degree", "system"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="^BernsteinForm is immutable$"):
             setattr(form, name, None)
     assert form.coeffs == {(0, 1, 0): 1, (0, 0, 1): -1}
 

@@ -287,8 +287,9 @@ def test_search_solves_barycentric_coordinates_only_for_the_root(monkeypatch):
 
 
 def test_search_runs_no_determinant_and_json_checks_every_node(monkeypatch):
-    # split children inherit their parent's determinant; a certificate read
-    # from JSON is untrusted, so each of its simplices is eliminated in full
+    # a split child needs no check, since its moved vertex keeps a positive
+    # weight; a certificate read from JSON is untrusted, so each of its
+    # simplices is eliminated in full
     simplex = standard_simplex(2)
     calls = []
     det = berncert.simplices.determinant

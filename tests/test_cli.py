@@ -129,11 +129,16 @@ def test_exit_code_form_too_large(capsys):
 
 def test_module_entry_point_passes_the_exit_code():
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    # the interpreter's default integer digit limit, which bounds a literal's exponent
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "4300"}
 
     def module(*argv):
         return subprocess.run(
-            [sys.executable, "-m", "berncert", *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "berncert", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=2,
         )
 
     ok = module("certify", "x1", "--json")
@@ -143,6 +148,21 @@ def test_module_entry_point_passes_the_exit_code():
     assert degenerate.returncode == 4
     assert degenerate.stdout == ""
     assert degenerate.stderr.startswith("error:")
+    # refused before the work, which would take seconds and up to a gigabyte:
+    # building 10^exponent in full, or the default 6000-dimensional simplex
+    for argv, named in (
+        (["convert", "x1", "--simplex", "[[0],[1e10000000]]"], "exceeds 4300"),
+        (["convert", "x1", "--simplex", '[[0],["1e10000000"]]'], "exceeds 4300"),
+        (["convert", "x1", "--simplex", "[[0],[1e-10000000]]"], "exceeds 4300"),
+        (["convert", "x6000"], "has 6001 coefficients"),
+    ):
+        start = time.perf_counter()
+        refused = module(*argv)
+        assert time.perf_counter() - start < 2
+        assert refused.returncode == 2
+        assert refused.stdout == ""
+        assert refused.stderr.startswith("error:") and refused.stderr.count("\n") == 1
+        assert named in refused.stderr
 
 
 def test_exit_code_recursion_limit(capsys):

@@ -6,8 +6,8 @@ against ratios of cofactor-expanded leading minors, and ``solve`` /
 ``invert`` by exact substitution (A x == b, A A^-1 == I).  The search's
 moves: ``transfer_edge_v2`` against the full change of basis
 ``restrict_general``, ``degree_elevate`` against single steps, a
-per-term Fraction step and ``to_bernstein``, and every split child's
-inherited determinant against a fresh elimination of its vertices.
+per-term Fraction step and ``to_bernstein``, and every split or moved
+child, built unchecked, against the checked simplex of its vertices.
 The integer forms: the kernels, the edge-move geometry, edge lengths
 and JSON output build no ``Fraction`` (counted by patching
 ``Fraction.__new__``), and the ``Fraction`` mappings read from their
@@ -384,20 +384,23 @@ def test_elevation_matches_single_steps_and_conversion():
         assert elevated.coeffs == {} and elevated.degree == 2 + steps
 
 
-def test_split_and_move_children_inherit_the_determinant():
+def test_split_and_move_children_pass_the_full_check_of_their_vertices():
     rng = random.Random(53)
     for n in (1, 2, 3, 4):
         for _ in range(4):
             simplex = rand_simplex(rng, n)
             form = BernsteinForm(barycentric_system(simplex), 1, {})
+            det = simplex.determinant
             for i, j in _ordered_edges(n):
-                children = [transfer_edge_v2(form, rho, i, j).simplex for rho in RHOS]
+                # each child with its moved vertex's weight on the vertex it replaces
+                children = [(transfer_edge_v2(form, rho, i, j).simplex, 1 - rho) for rho in RHOS]
                 for theta in THETAS:
-                    children += split_edge(simplex, i, j, theta)
-                for child in children:
-                    fresh = Simplex(child.vertices)
+                    first, second = split_edge(simplex, i, j, theta)
+                    children += [(first, theta), (second, 1 - theta)]
+                for child, weight in children:
+                    fresh = Simplex(child.vertices)  # the full check
                     assert type(child.determinant) is Fraction
-                    assert child.determinant == fresh.determinant
+                    assert child.determinant == fresh.determinant == weight * det
                     assert child == fresh
 
 

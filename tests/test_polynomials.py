@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -90,6 +91,36 @@ def test_parse_error_messages(text, message):
     assert str(info.value) == message
 
 
+def test_as_rational_refuses_an_exponent_beyond_the_digit_limit():
+    # Fraction builds 10^exponent in full; each spelling it reads is bounded
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for text in (
+            "1e4301",
+            "1E+4301",
+            "-1e-4301",
+            " 1.5e4_301 ",
+            "1e99999999",
+            "1e\u0664\u0663\u0660\u0661",  # Arabic-Indic digits, 4301
+            "1e" + "\u0660" * 4301 + "1",  # more digits than the limit
+        ):
+            with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+                as_rational(text)
+        for text, value in (
+            ("1e3", 1000),
+            ("1E+0003", 1000),
+            ("1e\u0663", 1000),
+            ("-1e-4300", Fraction(-1, 10**4300)),
+            ("1e0004300", 10**4300),
+        ):
+            assert as_rational(text) == value
+        sys.set_int_max_str_digits(0)  # no limit: read as Fraction reads it
+        assert as_rational("1e4301") == 10**4301
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
 def test_as_rational_rejects_floats_and_bools():
     with pytest.raises(TypeError):
         as_rational(0.5)
@@ -147,7 +178,7 @@ def test_constructor_canonicalizes():
 
 def test_polynomial_is_immutable():
     p = parse_polynomial("x1", 1)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^Polynomial is immutable$"):
         p.num_vars = 3
 
 

@@ -240,6 +240,9 @@ LITERALS = [
     ("1.5", Fraction(3, 2)),
     ("-2", Fraction(-2)),
     ('"6/8"', Fraction(3, 4)),
+    ("1e3", Fraction(1000)),
+    ('"1e4300"', Fraction(10**4300)),
+    ('"1e4301"', None),  # past the default integer digit limit, 4300
 ]
 
 

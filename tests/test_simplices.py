@@ -65,7 +65,7 @@ def test_edge_move_point_and_determinant():
             vi, vj = s.vertices[i], s.vertices[j]
             w = tuple(rho * a + (1 - rho) * b for a, b in zip(vi, vj))
             assert moved.vertices == s.replace_vertex(j, w).vertices
-            # the inherited determinant equals a full elimination's
+            # the unchecked child passes the full check of its vertices
             assert moved.determinant == Simplex(moved.vertices).determinant
 
 
@@ -158,6 +158,6 @@ def test_simplex_and_barycentric_system_are_immutable():
     simplex = standard_simplex(2)
     system = barycentric_system(simplex)
     for obj, name in ((simplex, "den"), (simplex, "nums"), (system, "simplex")):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
             setattr(obj, name, None)
     assert simplex.den == 1 and system.simplex is simplex
