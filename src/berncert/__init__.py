@@ -1,132 +1,24 @@
-"""Exact certificates of polynomial positivity in the simplicial Bernstein basis."""
+"""Exact certificates of polynomial positivity in the simplicial Bernstein basis.
 
-from .bernstein import (
-    BernsteinForm,
-    CertKind,
-    CertStatus,
-    DegreeTooLowError,
-    bernstein_basis_polynomial,
-    cert_status,
-    degree_elevate,
-    enclosure_bound,
-    from_bernstein,
-    to_bernstein,
-)
-from .certify import (
-    CertificateTree,
-    CertifyConfig,
-    EdgeSplit,
-    Elevation,
-    MalformedTreeError,
-    Strategy,
-    Target,
-    certify,
-    failing_leaves,
-    is_certified,
-    status_meets,
-    verify_tree,
-    walk,
-)
-from .counterexample import (
-    COUNTEREXAMPLE_TEXT,
-    GRAM_MATRIX,
-    GramDecomposition,
-    counterexample_gram,
-    counterexample_polynomial,
-    family_simplex,
-    is_positive_definite,
-    persistence_value,
-    render_report,
-    reproduce_report,
-    split_demo_polynomial,
-    transfer_combined,
-    transfer_vertex_v1,
-    verify_gram,
-    vertex_weights_for,
-)
-from .linalg import SingularMatrixError, determinant, invert, ldl_pivots, solve
-from .polynomials import (
-    Polynomial,
-    PolynomialParseError,
-    as_int,
-    as_rational,
-    format_polynomial,
-    parse_polynomial,
-)
-from .simplices import (
-    BarycentricSystem,
-    DegenerateSimplexError,
-    Simplex,
-    barycentric_system,
-    standard_simplex,
-)
-from .subdivision import (
-    edge_split_forms,
-    restrict_general,
-    split_edge,
-    transfer_edge_v2,
-)
+The package exports each library module's ``__all__``; ``cli`` is the program, not the library.
+"""
+
+import sys as _sys
+
+from .polynomials import *
+from .linalg import *
+from .simplices import *
+from .bernstein import *
+from .subdivision import *
+from .certify import *
+from .serialize import *
+from .counterexample import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Polynomial",
-    "PolynomialParseError",
-    "as_int",
-    "as_rational",
-    "format_polynomial",
-    "parse_polynomial",
-    "SingularMatrixError",
-    "determinant",
-    "solve",
-    "invert",
-    "ldl_pivots",
-    "Simplex",
-    "BarycentricSystem",
-    "DegenerateSimplexError",
-    "standard_simplex",
-    "barycentric_system",
-    "BernsteinForm",
-    "CertKind",
-    "CertStatus",
-    "DegreeTooLowError",
-    "bernstein_basis_polynomial",
-    "to_bernstein",
-    "from_bernstein",
-    "degree_elevate",
-    "cert_status",
-    "enclosure_bound",
-    "transfer_edge_v2",
-    "transfer_vertex_v1",
-    "transfer_combined",
-    "restrict_general",
-    "split_edge",
-    "edge_split_forms",
-    "Strategy",
-    "Target",
-    "CertifyConfig",
-    "EdgeSplit",
-    "Elevation",
-    "CertificateTree",
-    "MalformedTreeError",
-    "certify",
-    "status_meets",
-    "is_certified",
-    "failing_leaves",
-    "verify_tree",
-    "walk",
-    "COUNTEREXAMPLE_TEXT",
-    "GRAM_MATRIX",
-    "GramDecomposition",
-    "counterexample_polynomial",
-    "split_demo_polynomial",
-    "counterexample_gram",
-    "verify_gram",
-    "is_positive_definite",
-    "persistence_value",
-    "vertex_weights_for",
-    "family_simplex",
-    "reproduce_report",
-    "render_report",
-]
+__all__ = ["__version__"]
+for _name in (
+    "polynomials", "linalg", "simplices", "bernstein",
+    "subdivision", "certify", "serialize", "counterexample",
+):
+    __all__ += _sys.modules[f"{__name__}.{_name}"].__all__

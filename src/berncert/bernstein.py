@@ -62,6 +62,7 @@ from .polynomials import (
 from .simplices import BarycentricSystem
 
 __all__ = [
+    "MAX_COEFFICIENTS",
     "DegreeTooLowError",
     "BernsteinForm",
     "CertKind",

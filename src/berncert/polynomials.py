@@ -155,11 +155,14 @@ def multinomial(total: int, parts: Iterable[int]) -> int:
 
 
 class _Immutable:
-    """Base of the exact types: each slot is set once, by ``object.__setattr__``."""
+    """Base of the exact types: each slot is set once, by ``object.__setattr__``, then kept."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 

@@ -227,6 +227,7 @@ def test_form_index_validation():
     form = to_bernstein(parse_polynomial("x1", 2), system, 1)
     with pytest.raises(ValueError):
         form.coefficient((2, 0, 0))
+    assert (form == 0) is False
 
 
 def test_form_is_immutable():
@@ -235,6 +236,8 @@ def test_form_is_immutable():
     for name in ("den", "nums", "degree", "system"):
         with pytest.raises(AttributeError, match="^BernsteinForm is immutable$"):
             setattr(form, name, None)
+        with pytest.raises(AttributeError, match="^BernsteinForm is immutable$"):
+            delattr(form, name)
     assert form.coeffs == {(0, 1, 0): 1, (0, 0, 1): -1}
 
 

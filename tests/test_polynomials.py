@@ -10,9 +10,11 @@ from berncert import (
     PolynomialParseError,
     as_rational,
     format_polynomial,
+    multinomial,
+    over_common_denominator,
     parse_polynomial,
+    vectors_with_sum,
 )
-from berncert.polynomials import over_common_denominator
 from helpers import rand_polynomial, rand_rational
 
 
@@ -126,6 +128,9 @@ def test_as_rational_rejects_floats_and_bools():
         as_rational(0.5)
     with pytest.raises(TypeError):
         as_rational(True)
+    for value, name in ((None, "NoneType"), ([1], "list")):
+        with pytest.raises(TypeError, match=f"^exact rational required, got {name}$"):
+            as_rational(value)
     assert as_rational("3/4") == Fraction(3, 4)
     assert as_rational(7) == Fraction(7)
 
@@ -178,8 +183,12 @@ def test_constructor_canonicalizes():
 
 def test_polynomial_is_immutable():
     p = parse_polynomial("x1", 1)
-    with pytest.raises(AttributeError, match="^Polynomial is immutable$"):
-        p.num_vars = 3
+    for name in ("num_vars", "den", "nums"):
+        with pytest.raises(AttributeError, match="^Polynomial is immutable$"):
+            setattr(p, name, 3)
+        with pytest.raises(AttributeError, match="^Polynomial is immutable$"):
+            delattr(p, name)
+    assert p == Polynomial.variable(1, 0)
 
 
 def test_degree_of_zero_polynomial():
@@ -221,7 +230,7 @@ def test_pow():
     for exponent in (-1, True):  # a bool would raise to the first power
         with pytest.raises(ValueError):
             (x + 1) ** exponent
-    for index in (True, 1.0):  # a bool would give x2
+    for index in (True, 1.0, 2):  # a bool would give x2; x3 is not among 2 variables
         with pytest.raises(ValueError):
             Polynomial.variable(2, index)
 
@@ -231,6 +240,25 @@ def test_variable_count_mismatch():
     b = parse_polynomial("x1 + x2", 2)
     with pytest.raises(ValueError):
         a + b
+    with pytest.raises(ValueError, match="point has 1 coordinates, polynomial has 2 variables"):
+        b.evaluate((1,))
+
+
+def test_foreign_operands():
+    p = parse_polynomial("x1 + x2", 2)
+    assert (p == 1) is False
+    for op in (lambda: p + "x", lambda: p - "x", lambda: "x" - p):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_index_helpers_reject_bad_arguments():
+    assert list(vectors_with_sum(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+    assert multinomial(3, (1, 2)) == 3
+    with pytest.raises(ValueError):
+        list(vectors_with_sum(0, 1))
+    with pytest.raises(ValueError):
+        multinomial(3, (1, 1))
 
 
 def test_format_round_trip():

@@ -52,6 +52,8 @@ def test_replace_vertex():
     for slot in (True, 1.0):  # a bool would replace slot 1
         with pytest.raises(ValueError):
             s.replace_vertex(slot, (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ValueError, match="^vertex slot 3 out of range$"):
+        s.replace_vertex(3, (Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_edge_move_point_and_determinant():
@@ -123,6 +125,8 @@ def test_simplex_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != a.replace_vertex(0, (Fraction(1, 3), Fraction(1, 3)))
+    system = barycentric_system(a)
+    assert (a == "x") is False and (system == a) is False
 
 
 def test_moved_child_equals_and_hashes_as_its_json_reading():
@@ -160,4 +164,6 @@ def test_simplex_and_barycentric_system_are_immutable():
     for obj, name in ((simplex, "den"), (simplex, "nums"), (system, "simplex")):
         with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
             setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
+            delattr(obj, name)
     assert simplex.den == 1 and system.simplex is simplex

@@ -1,8 +1,13 @@
-"""The package imports nothing outside the Python standard library."""
+"""The package imports nothing outside the Python standard library, and it
+exports exactly the public names of its library modules."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+from types import FunctionType
+
+import berncert
 
 # read from disk, not imported, so a missing third-party module still reports here
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "berncert").glob("*.py"))
@@ -31,3 +36,23 @@ def test_package_imports_only_the_standard_library():
         if module not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+# the library modules in dependency order; ``cli`` and ``__main__`` are the program
+LIBRARY = (
+    "polynomials", "linalg", "simplices", "bernstein",
+    "subdivision", "certify", "serialize", "counterexample",
+)
+
+
+def test_package_exports_each_library_modules_names():
+    modules = [importlib.import_module(f"berncert.{name}") for name in LIBRARY]
+    names = ["__version__"] + [name for module in modules for name in module.__all__]
+    assert berncert.__all__ == names
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(berncert, name) is vars(module)[name], name
+    assert isinstance(berncert.certify, FunctionType)  # the function, not its module
+    assert {"tree_to_json", "MAX_COEFFICIENTS"} <= set(names)
+    assert "main" not in names

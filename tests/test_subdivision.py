@@ -103,6 +103,14 @@ def test_transfer_vertex_rejects_bad_weights():
         transfer_vertex_v1(form, (Fraction(1), Fraction(0), Fraction(0)))
     with pytest.raises(ValueError):
         transfer_vertex_v1(form, (Fraction(-1, 2), Fraction(1), Fraction(1, 2)))
+    with pytest.raises(ValueError, match="^vertex weights need 3 entries, got 2$"):
+        transfer_vertex_v1(form, (Fraction(1, 2), Fraction(1, 2)))
+    form3 = _form_on(rng, rand_polynomial(rng, num_vars=3), n=3)
+    beta = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+    with pytest.raises(ValueError, match="defined for 2-simplices, got dimension 3$"):
+        transfer_vertex_v1(form3, beta)
+    with pytest.raises(ValueError, match="defined for 2-simplices, got dimension 3$"):
+        transfer_combined(form3, beta, Fraction(1, 2))
 
 
 def test_transfer_combined_composes_the_two_moves():
