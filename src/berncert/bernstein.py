@@ -26,7 +26,8 @@ gives its integer arithmetic, as does ``degree_elevate``'s.  A
 conversion's index tables (the solve's columns and rows, the lift's
 multinomials and factorial weights) depend only on the sizes and are
 built once per size.  A conversion or elevation to a form with more
-than ``MAX_COEFFICIENTS`` coefficients is refused before any index is
+than ``MAX_COEFFICIENTS`` coefficients, or a basis change with more than
+``linalg.MAX_UNKNOWNS`` unknowns, is refused before any index is
 enumerated.  The only Fractions a conversion builds are the solve's
 solution entries.  Kernel
 outputs are wrapped unchecked (``BernsteinForm._canonical``); the public
@@ -278,7 +279,7 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
     leaf check stays independent of the search's moves.  Raises
     DegreeTooLowError if degree < deg(p) (no exact representation), and
     ValueError if the form would have more than MAX_COEFFICIENTS
-    coefficients.
+    coefficients or the solve more than ``linalg.MAX_UNKNOWNS`` unknowns.
     """
     n = system.simplex.dimension
     if p.num_vars != n:
@@ -286,6 +287,9 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
     if p.degree > as_int(degree, "degree"):
         raise DegreeTooLowError(required=p.degree, requested=degree)
     _check_size(n, degree)
+    linalg._check_unknowns(
+        comb(n + p.degree, n), f"a degree-{p.degree} basis change on a simplex of dimension {n}"
+    )
     den, power = _solve_at_degree(p, system, p.degree)
     deltas, weights = _lift_tables(n + 1, degree - p.degree, degree)
     acc: dict[tuple[int, ...], int] = {}

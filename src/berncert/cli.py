@@ -8,14 +8,14 @@ standard output on a failed run.
 
 Exit codes: 0 success/Certified, 1 Exhausted or report mismatch,
 2 bad input (unparseable, an invalid value, a literal's exponent beyond
-the integer digit limit, or a form with more than
+the integer digit limit, a form with more than
 ``bernstein.MAX_COEFFICIENTS`` coefficients to convert or elevate to,
 which certify checks for its --max-degree before the search, and every
 command for the polynomial's degree before it builds the default
-simplex), 3 requested degree below the polynomial degree,
-4 degenerate simplex, 5 the recursion limit reached (certify's search,
-or the index enumeration of a form on a simplex of about 990 or more
-dimensions).
+simplex, or a linear system with more than ``linalg.MAX_UNKNOWNS``
+unknowns, checked before a stdN simplex or the matrix is built),
+3 requested degree below the polynomial degree, 4 degenerate simplex,
+5 the recursion limit reached by certify's search.
 """
 
 from __future__ import annotations

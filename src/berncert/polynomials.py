@@ -18,9 +18,10 @@ The text format is the one used throughout the CLI and the docs::
     21*x1^4 + 24*x1^3*x2 - 36*x1^3 + 1/2*x2 - 0.25
 
 Variables are ``x1 .. xn`` (1-based), ``^`` is exponentiation, terms are
-joined with ``+`` / ``-``, whitespace is ignored, and coefficients may be
-integers, ``p/q`` ratios, or decimal literals (parsed exactly: ``0.25``
-means 1/4).
+joined with ``+`` / ``-``, whitespace may stand between tokens, and
+coefficients may be integers, ``p/q`` ratios, or decimal literals (parsed
+exactly: ``0.25`` means 1/4).  A rejected text is a ``PolynomialParseError``
+naming its first fault from the left, by its token or its position.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -134,8 +135,8 @@ def grlex_key(exponents: tuple[int, ...]) -> tuple:
 
 def vectors_with_sum(slots: int, total: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``slots`` nonnegative ints summing to ``total``, lex ascending."""
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    if slots < 1 or total < 0:
+        raise ValueError(f"need slots >= 1 and total >= 0, got {slots} and {total}")
     if slots == 1:
         yield (total,)
         return
@@ -148,10 +149,7 @@ def multinomial(total: int, parts: Iterable[int]) -> int:
     parts = tuple(parts)
     if any(p < 0 for p in parts) or sum(parts) != total:
         raise ValueError(f"not a composition of {total}: {parts}")
-    out = factorial(total)
-    for p in parts:
-        out //= factorial(p)
-    return out
+    return factorial(total) // prod(map(factorial, parts))
 
 
 class _Immutable:
@@ -361,79 +359,24 @@ class Polynomial(_Immutable):
 
 # --- text format --------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<space>\s+)
-    | (?P<number>\d+(?:\.\d+)?)
-    | (?P<var>x\d+)
-    | (?P<op>[\^*/+-])
-    | (?P<bad>.)
-    """,
+# One factor and the whitespace after it: a coefficient p, p.q or p/q, or a variable
+# xi with an optional ^e.  A '/' or '^' is read even without its integer, so that the
+# fault is named; where no factor stands, ``op`` or ``bad`` holds the character there.
+_FACTOR = re.compile(
+    r"""\s*(?:
+        (?P<num>\d+(?:\.\d+)?)(?:(?P<slash>\s*/\s*)(?P<den>\d+(?:\.\d+)?)?)?
+      | (?P<var>x\d+)(?:(?P<caret>\s*\^\s*)(?P<exp>\d+(?:\.\d+)?)?)?
+      | (?P<op>[\^*/+-]) | (?P<bad>.) | )\s*""",
     re.VERBOSE | re.DOTALL,
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    """(kind, text) per token in one regex pass, last token first; whitespace is dropped."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise PolynomialParseError(
-                f"unexpected character {m.group()!r} at position {m.start()}"
-            )
-        if kind != "space":
-            tokens.append((kind, m.group()))
-    tokens.reverse()
-    return tokens
-
-
-_SIGNS = {("op", "+"): 1, ("op", "-"): -1}
-
-
-def _parse_number(tokens: list) -> tuple[int, int]:
-    """(numerator, positive denominator) of the coefficient literal that the next token starts."""
-    text = tokens.pop()[1]
-    if tokens[-1:] == [("op", "/")]:
-        tokens.pop()
-        if not tokens:
-            raise PolynomialParseError("dangling '/' at end of input")
-        dkind, dtext = tokens.pop()
-        if dkind != "number" or "." in text or "." in dtext:
-            raise PolynomialParseError("p/q coefficients need integer p and q")
-        if int(dtext) == 0:
-            raise PolynomialParseError("zero denominator")
-        return int(text), int(dtext)
-    whole, _, decimals = text.partition(".")  # exact: "0.25" -> 25/100
-    return int(whole + decimals), 10 ** len(decimals)
-
-
-def _parse_term(tokens: list) -> tuple[int, int, dict[int, int]]:
-    num = den = 1
-    powers: dict[int, int] = {}
-    while True:
-        kind, text = tokens[-1] if tokens else (None, "")
-        if kind == "number":
-            n, d = _parse_number(tokens)
-            num, den = num * n, den * d
-        elif kind == "var":
-            tokens.pop()
-            index = int(text[1:])
-            if index < 1:
-                raise PolynomialParseError(f"variables are x1, x2, ...; got {text!r}")
-            exp = 1
-            if tokens[-1:] == [("op", "^")]:
-                tokens.pop()
-                ekind, etext = tokens.pop() if tokens else (None, "")
-                if ekind != "number" or "." in etext:
-                    raise PolynomialParseError(f"exponent must be an integer, got {etext!r}")
-                exp = int(etext)
-            powers[index - 1] = powers.get(index - 1, 0) + exp
-        else:
-            raise PolynomialParseError(f"expected a coefficient or variable, got {text!r}")
-        if tokens[-1:] != [("op", "*")]:
-            return num, den, powers
-        tokens.pop()
+def _token_at(text: str, pos: int) -> str:
+    """The token at ``pos``, '' at the end; a character no token starts with is an error."""
+    m = _FACTOR.match(text, pos)
+    if m["bad"]:
+        raise PolynomialParseError(f"unexpected character {m['bad']!r} at position {m.start('bad')}")
+    return m["num"] or m["var"] or m["op"] or ""
 
 
 def parse_polynomial(text: str, num_vars: int | None = None) -> Polynomial:
@@ -444,22 +387,49 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> Polynomial:
     an explicit ``num_vars`` is an error.  The terms are summed as int
     numerators over their lcm denominator, reduced once at the end.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    first = _token_at(text, 0)
+    if not first:
         raise PolynomialParseError("empty polynomial text")
+    op, pos = (first, text.index(first) + 1) if first in ("+", "-") else ("+", 0)
     parsed: list[tuple[int, int, dict[int, int]]] = []
-    sign = _SIGNS[tokens.pop()] if tokens[-1] in _SIGNS else 1
+    num, den, powers = (-1 if op == "-" else 1), 1, {}
     while True:
-        num, den, powers = _parse_term(tokens)
-        parsed.append((sign * num, den, powers))
-        if not tokens:
+        m = _FACTOR.match(text, pos)
+        if m["num"]:
+            p, q = m["num"], m["den"]
+            if not m["slash"]:
+                whole, _, decimals = p.partition(".")  # exact: "0.25" -> 25/100
+                p, q = whole + decimals, 10 ** len(decimals)
+            elif q is None and not _token_at(text, m.end("slash")):
+                raise PolynomialParseError("dangling '/' at end of input")
+            elif q is None or "." in p + q:
+                raise PolynomialParseError("p/q coefficients need integer p and q")
+            elif int(q) == 0:
+                raise PolynomialParseError("zero denominator")
+            num, den = num * int(p), den * int(q)
+        elif m["var"]:
+            index, exp = int(m["var"][1:]), m["exp"]
+            if index < 1:
+                raise PolynomialParseError(f"variables are x1, x2, ...; got {m['var']!r}")
+            if m["caret"] and (exp is None or "." in exp):
+                got = _token_at(text, m.end("caret"))
+                raise PolynomialParseError(f"exponent must be an integer, got {got!r}")
+            powers[index - 1] = powers.get(index - 1, 0) + (int(exp) if exp else 1)
+        else:
+            got = _token_at(text, pos)
+            raise PolynomialParseError(f"expected a coefficient or variable, got {got!r}")
+        pos, op = m.end() + 1, text[m.end() : m.end() + 1]
+        if op == "*":
+            continue
+        parsed.append((num, den, powers))
+        if not op:
             break
-        token = tokens.pop()
-        if token not in _SIGNS:
-            raise PolynomialParseError(f"expected '+' or '-' between terms, got {token[1]!r}")
-        sign = _SIGNS[token]
-        if not tokens:
+        if op not in "+-":
+            got = _token_at(text, pos - 1)
+            raise PolynomialParseError(f"expected '+' or '-' between terms, got {got!r}")
+        if not _token_at(text, pos):
             raise PolynomialParseError("dangling sign at end of input")
+        num, den, powers = (-1 if op == "-" else 1), 1, {}
 
     highest = max((max(p) + 1 for _, _, p in parsed if p), default=0)
     if num_vars is None:

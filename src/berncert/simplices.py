@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .linalg import determinant, invert
+from .linalg import _check_unknowns, determinant, invert
 from .polynomials import Polynomial, _Immutable, as_int, as_rational, over_common_denominator
 
 __all__ = [
@@ -69,6 +69,7 @@ class Simplex(_Immutable):
         if len(nums) < 2:
             raise ValueError("a simplex needs at least 2 vertices")
         n = len(nums) - 1
+        _check_unknowns(n, f"a simplex of dimension {n}")
         for v in nums:
             if len(v) != n:
                 raise ValueError(
@@ -146,7 +147,7 @@ class Simplex(_Immutable):
 
 def standard_simplex(n: int) -> Simplex:
     """Vertices 0, e_1, .., e_n."""
-    as_int(n, "dimension", minimum=1)
+    _check_unknowns(as_int(n, "dimension", minimum=1), f"the standard simplex of dimension {n}")
     units = (tuple(int(i == k) for i in range(n)) for k in range(n))
     return Simplex._from_ints(1, ((0,) * n, *units))
 
@@ -174,6 +175,7 @@ class BarycentricSystem(_Immutable):
         if self._coords is None:
             simplex = self.simplex
             n = simplex.dimension
+            _check_unknowns(n + 1, f"the coordinate inverse of a simplex of dimension {n}")
             # den * M has integer rows (den, nums_j); its inverse is M's over den
             inv = invert([[simplex.den, *v] for v in simplex.nums])
             units = [(0,) * n] + [tuple(int(t == k) for t in range(n)) for k in range(n)]

@@ -22,6 +22,7 @@ from berncert import (
     to_bernstein,
 )
 from berncert.bernstein import MAX_COEFFICIENTS
+from berncert.linalg import MAX_UNKNOWNS
 from berncert.polynomials import multinomial, vectors_with_sum
 from berncert.serialize import form_from_json, form_to_json
 from helpers import rand_point_in, rand_polynomial, rand_simplex
@@ -308,6 +309,22 @@ def test_forms_above_the_coefficient_limit_are_rejected():
         to_bernstein(x1, system, 99)
     with pytest.raises(ValueError, match="5050 coefficients"):
         degree_elevate(to_bernstein(x1, system, 1), 98)
+
+
+def test_linear_systems_above_the_unknowns_bound_are_refused():
+    # the basis change at k = deg P has C(2 + k, 2) unknowns on the 2-simplex: 300 at k = 23
+    assert MAX_UNKNOWNS == 300
+    system = barycentric_system(standard_simplex(2))
+    assert to_bernstein(parse_polynomial("x1^23 + x2", 2), system, 23).degree == 23
+    with pytest.raises(ValueError, match="with 325 unknowns, more than the bound of 300"):
+        to_bernstein(parse_polynomial("x1^24", 2), system, 24)
+    # a simplex's determinant has n unknowns, its coordinate inverse n + 1
+    with pytest.raises(ValueError, match="dimension 301 needs a linear system with 301 unknowns"):
+        standard_simplex(301)
+    with pytest.raises(ValueError, match="301 unknowns"):
+        Simplex([[0] * 301] * 302)  # refused before its determinant would find it degenerate
+    with pytest.raises(ValueError, match="coordinate inverse of a simplex of dimension 300"):
+        barycentric_system(standard_simplex(300)).coords
 
 
 def test_cert_status_classification():

@@ -149,12 +149,18 @@ def test_module_entry_point_passes_the_exit_code():
     assert degenerate.stdout == ""
     assert degenerate.stderr.startswith("error:")
     # refused before the work, which would take seconds and up to a gigabyte:
-    # building 10^exponent in full, or the default 6000-dimensional simplex
+    # building 10^exponent in full, a standard simplex of thousands of
+    # dimensions, or a 1891-unknown basis change
     for argv, named in (
         (["convert", "x1", "--simplex", "[[0],[1e10000000]]"], "exceeds 4300"),
         (["convert", "x1", "--simplex", '[[0],["1e10000000"]]'], "exceeds 4300"),
         (["convert", "x1", "--simplex", "[[0],[1e-10000000]]"], "exceeds 4300"),
         (["convert", "x6000"], "has 6001 coefficients"),
+        (["convert", "x1", "--simplex", "std6000"], "6000 unknowns, more than the bound of 300"),
+        (["restrict", "x1", "--to", "std3000"], "3000 unknowns, more than the bound of 300"),
+        (["convert", "1", "--simplex", "std3000"], "3000 unknowns, more than the bound of 300"),
+        (["convert", "x1", "--simplex", "std4999"], "4999 unknowns, more than the bound of 300"),
+        (["convert", "x1^60 + x2"], "1891 unknowns, more than the bound of 300"),
     ):
         start = time.perf_counter()
         refused = module(*argv)

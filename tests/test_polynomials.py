@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -91,6 +92,44 @@ def test_parse_error_messages(text, message):
     with pytest.raises(PolynomialParseError) as info:
         parse_polynomial(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("x1 ^ 2", {(2,): 1}),
+        ("1 / 2*x1", {(1,): Fraction(1, 2)}),
+        ("x1*1/2", {(1,): Fraction(1, 2)}),
+        ("2*3*x1", {(1,): 6}),
+        ("x1 + x1", {(1,): 2}),
+        ("x01", {(1,): 1}),
+        ("3/6", {(0,): Fraction(1, 2)}),
+        ("0.10", {(0,): Fraction(1, 10)}),
+        (" x1\n", {(1,): 1}),
+        ("x2*x1^2*x1", {(3, 1): 1}),
+    ],
+)
+def test_parse_accepted_spellings(text, value):
+    p = parse_polynomial(text)
+    assert p == Polynomial(p.num_vars, value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x1^-1", "2x1", "1/2/3", "--x1", "x1*", "x 1", ".5", "5.", "x1^2^3", "1/x1"],
+)
+def test_parse_rejected_spellings(text):
+    with pytest.raises(PolynomialParseError):
+        parse_polynomial(text)
+
+
+def test_parse_round_trip_with_whitespace_between_tokens():
+    rng = random.Random(24)
+    for _ in range(200):
+        p = rand_polynomial(rng, num_vars=rng.randint(1, 4))
+        tokens = re.findall(r"x\d+|\d+|\S", format_polynomial(p))
+        text = "".join(rng.choice(["", "", " ", "\t", "\n", "  "]) + t for t in tokens)
+        assert parse_polynomial(text + rng.choice(["", " "]), p.num_vars) == p
 
 
 def test_as_rational_refuses_an_exponent_beyond_the_digit_limit():
@@ -257,6 +296,8 @@ def test_index_helpers_reject_bad_arguments():
     assert multinomial(3, (1, 2)) == 3
     with pytest.raises(ValueError):
         list(vectors_with_sum(0, 1))
+    with pytest.raises(ValueError):
+        list(vectors_with_sum(1, -1))
     with pytest.raises(ValueError):
         multinomial(3, (1, 1))
 
