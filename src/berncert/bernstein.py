@@ -20,19 +20,17 @@ reads ``nums``), and equality cross-multiplies numerators.
 
 ``to_bernstein`` (a linear solve at P's own degree, then a closed
 lift) and ``from_bernstein`` (the sum above) read the same unscaled
-table {alpha: lambda^alpha}, built from the barycentric coordinates with
-one polynomial multiplication per index; each function's docstring
+products {alpha: lambda^alpha}, built from the barycentric coordinates
+with one polynomial multiplication per index; each function's docstring
 gives its integer arithmetic, as does ``degree_elevate``'s.  A
-conversion's index tables (the solve's columns and rows, the lift's
-multinomials and factorial weights) depend only on the sizes and are
-built once per size.  A conversion or elevation to a form with more
-than ``MAX_COEFFICIENTS`` coefficients, or a basis change with more than
-``linalg.MAX_UNKNOWNS`` unknowns, is refused before any index is
-enumerated.  The only Fractions a conversion builds are the solve's
-solution entries.  Kernel
-outputs are wrapped unchecked (``BernsteinForm._canonical``); the public
-constructor and ``serialize.form_from_json`` both build through the one
-checked constructor, ``BernsteinForm._from_ratios``.
+conversion's index tables depend only on its sizes and come from one
+cached table, ``_conversion_table``, which first refuses a form with
+more than ``MAX_COEFFICIENTS`` coefficients or a basis change with more
+than ``linalg.MAX_UNKNOWNS`` unknowns, before any index is enumerated.
+The only Fractions a conversion builds are the solve's solution entries.
+Kernel outputs are wrapped unchecked (``BernsteinForm._canonical``); the
+public constructor and ``serialize.form_from_json`` both build through
+the one checked constructor, ``BernsteinForm._from_ratios``.
 
 Forms store only nonzero coefficients; an absent index reads as 0 and
 implicit zeros count when classifying (they block a strict-positivity
@@ -52,6 +50,7 @@ from typing import Iterable, Iterator, Mapping
 from . import linalg
 from .polynomials import (
     Polynomial,
+    _check_unknowns,
     _Immutable,
     as_int,
     as_rational,
@@ -265,8 +264,8 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
     """Exact change of basis into the degree-d Bernstein basis.
 
     Solves at k = deg(p) only, for the power-basis coefficients c_alpha
-    of p = sum c_alpha * lambda^alpha over |alpha| = k (``_solve_at_degree``).
-    The degree-d coefficients then follow in one closed step,
+    of p = sum c_alpha * lambda^alpha over |alpha| = k.  The degree-d
+    coefficients then follow in one closed step,
 
         b_gamma = sum over alpha <= gamma, |alpha| = k of
                   c_alpha * M(d-k, gamma-alpha) / M(d, gamma)
@@ -274,9 +273,9 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
     with M the multinomial (Farouki, CAGD 2012), on integer numerators
     over one common denominator; at d = k this is b_alpha = c_alpha / M(k, alpha).
     1 / M(d, gamma) is the integer prod(gamma_i!) over d!, so the form's
-    denominator is the solution's times d!.  The lift shares no code with
-    ``degree_elevate``, the search's stepwise rule, so ``verify_tree``'s
-    leaf check stays independent of the search's moves.  Raises
+    denominator is the solution's times p.den times d!.  The lift shares no
+    code with ``degree_elevate``, the search's stepwise rule, so
+    ``verify_tree``'s leaf check stays independent of the search's moves.  Raises
     DegreeTooLowError if degree < deg(p) (no exact representation), and
     ValueError if the form would have more than MAX_COEFFICIENTS
     coefficients or the solve more than ``linalg.MAX_UNKNOWNS`` unknowns.
@@ -286,64 +285,15 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
         raise ValueError(f"variable count mismatch: {p.num_vars} != {n}")
     if p.degree > as_int(degree, "degree"):
         raise DegreeTooLowError(required=p.degree, requested=degree)
-    _check_size(n, degree)
-    linalg._check_unknowns(
-        comb(n + p.degree, n), f"a degree-{p.degree} basis change on a simplex of dimension {n}"
-    )
-    den, power = _solve_at_degree(p, system, p.degree)
-    deltas, weights = _lift_tables(n + 1, degree - p.degree, degree)
-    acc: dict[tuple[int, ...], int] = {}
-    for alpha, num in power.items():
-        for delta, m in deltas:
-            gamma = tuple(a + b for a, b in zip(alpha, delta))
-            acc[gamma] = acc.get(gamma, 0) + num * m
-    nums = {gamma: acc[gamma] * w for gamma, w in weights if acc.get(gamma)}
-    return BernsteinForm._canonical(system, degree, den * factorial(degree), nums)
-
-
-@lru_cache(maxsize=64)
-def _lift_tables(slots: int, lift: int, degree: int) -> tuple[tuple, tuple]:
-    """The lift's ((delta, M(lift, delta)) for |delta| = lift) and
-    ((gamma, prod(gamma_i!)) for |gamma| = degree), in lex order.
-
-    Cached: every conversion of one size reads the same tables.
-    """
-    deltas = tuple((e, multinomial(lift, e)) for e in vectors_with_sum(slots, lift))
-    weights = tuple((g, prod(map(factorial, g))) for g in vectors_with_sum(slots, degree))
-    return deltas, weights
-
-
-@lru_cache(maxsize=64)
-def _system_indices(n: int, degree: int) -> tuple[tuple, MappingProxyType]:
-    """The solve's columns, the alphas with |alpha| = degree in lex order,
-    and its rows, {exponent vector: row} over the n-variable monomials of
-    degree <= degree in graded-lex order.
-
-    Cached: every conversion of one size reads the same tables.
-    """
-    alphas = tuple(vectors_with_sum(n + 1, degree))
-    monomials = (e for t in range(degree + 1) for e in vectors_with_sum(n, t))
-    row = {e: r for r, e in enumerate(monomials)}
-    assert len(alphas) == len(row)
-    return alphas, MappingProxyType(row)
-
-
-def _solve_at_degree(
-    p: Polynomial, system: BarycentricSystem, degree: int
-) -> tuple[int, dict[tuple[int, ...], int]]:
-    """(D, {alpha: N_alpha}), nonzero, with p = sum of N_alpha / D * lambda^alpha over |alpha| = degree.
-
-    Column alpha of the system holds the numerators of lambda^alpha over
-    the table's lcm denominator den, so ``linalg.solve`` runs on an
-    integer matrix against den * p.den * p, and D is p.den times the
-    solution's common denominator.
-    """
-    alphas, row = _system_indices(system.simplex.dimension, degree)
-    table = _basis(system, alphas)
-    den = lcm(*(lam.den for lam in table.values()))
+    alphas, row, deltas, weights = _conversion_table(n, p.degree, degree)
+    # Column alpha holds the numerators of lambda^alpha over the basis's lcm
+    # denominator den, so linalg.solve runs on an integer matrix against
+    # den * p.den * p, and c_alpha is sol[alpha] over sol_den * p.den.
+    basis = _basis(system, alphas)
+    den = lcm(*(lam.den for lam in basis.values()))
     matrix = [[0] * len(alphas) for _ in alphas]
     for col, alpha in enumerate(alphas):
-        lam = table[alpha]
+        lam = basis[alpha]
         scale = den // lam.den
         for e, c in lam.nums.items():
             matrix[row[e]][col] = c * scale
@@ -351,7 +301,33 @@ def _solve_at_degree(
     for e, c in p.nums.items():
         rhs[row[e]] = c * den
     sol_den, sol = over_common_denominator(linalg.solve(matrix, rhs))
-    return sol_den * p.den, {a: c for a, c in zip(alphas, sol) if c}
+    acc: dict[tuple[int, ...], int] = {}
+    for alpha, num in zip(alphas, sol):
+        if num:
+            for delta, m in deltas:
+                gamma = tuple(a + b for a, b in zip(alpha, delta))
+                acc[gamma] = acc.get(gamma, 0) + num * m
+    nums = {gamma: acc[gamma] * w for gamma, w in weights if acc.get(gamma)}
+    return BernsteinForm._canonical(system, degree, sol_den * p.den * factorial(degree), nums)
+
+
+@lru_cache(maxsize=64)
+def _conversion_table(n: int, k: int, d: int) -> tuple[tuple, MappingProxyType, tuple, tuple]:
+    """The index tables of a degree-d conversion of a degree-k form on an n-simplex,
+    once both sizes pass: the solve's columns (|alpha| = k, lex) and rows ({monomial
+    exponents: row}, degree <= k, graded-lex), then the lift's (delta, M(d-k, delta))
+    for |delta| = d-k and (gamma, prod(gamma_i!)) for |gamma| = d, in lex order.
+
+    Cached by size; lru_cache keeps no raised call, so a refused size raises each time.
+    """
+    _check_size(n, d)
+    _check_unknowns(comb(n + k, n), f"a degree-{k} basis change on a simplex of dimension {n}")
+    alphas = tuple(vectors_with_sum(n + 1, k))
+    monomials = (e for t in range(k + 1) for e in vectors_with_sum(n, t))
+    row = {e: r for r, e in enumerate(monomials)}
+    deltas = tuple((e, multinomial(d - k, e)) for e in vectors_with_sum(n + 1, d - k))
+    weights = tuple((g, prod(map(factorial, g))) for g in vectors_with_sum(n + 1, d))
+    return alphas, MappingProxyType(row), deltas, weights
 
 
 def from_bernstein(form: BernsteinForm) -> Polynomial:

@@ -8,12 +8,12 @@ standard output on a failed run.
 
 Exit codes: 0 success/Certified, 1 Exhausted or report mismatch,
 2 bad input (unparseable, an invalid value, a literal's exponent beyond
-the integer digit limit, a form with more than
+the integer digit limit, a text naming more than ``linalg.MAX_UNKNOWNS``
+variables, refused as it is read, a form with more than
 ``bernstein.MAX_COEFFICIENTS`` coefficients to convert or elevate to,
-which certify checks for its --max-degree before the search, and every
-command for the polynomial's degree before it builds the default
-simplex, or a linear system with more than ``linalg.MAX_UNKNOWNS``
-unknowns, checked before a stdN simplex or the matrix is built),
+which certify checks for its --max-degree before the search, or a
+linear system with more than ``linalg.MAX_UNKNOWNS`` unknowns, checked
+before a stdN simplex or the matrix is built),
 3 requested degree below the polynomial degree, 4 degenerate simplex,
 5 the recursion limit reached by certify's search.
 """
@@ -27,7 +27,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .bernstein import BernsteinForm, DegreeTooLowError, _check_size, degree_elevate, to_bernstein
+from .bernstein import BernsteinForm, DegreeTooLowError, degree_elevate, to_bernstein
 from .certify import (
     CertifyConfig,
     Strategy,
@@ -188,8 +188,6 @@ def _parse_simplex_spec(spec: str) -> Simplex:
 def _load_inputs(args) -> tuple[Polynomial, Simplex]:
     if args.simplex is None:
         p = parse_polynomial(args.polynomial)
-        # before the simplex is built: every command converts at p.degree or above
-        _check_size(p.num_vars, p.degree)
         return p, standard_simplex(p.num_vars)
     simplex = _parse_simplex_spec(args.simplex)
     p = parse_polynomial(args.polynomial, num_vars=simplex.dimension)
@@ -199,7 +197,7 @@ def _load_inputs(args) -> tuple[Polynomial, Simplex]:
 def _root_form(args, on: Simplex | None = None) -> BernsteinForm:
     """P's form on ``on``, or on the --simplex input when ``on`` is None."""
     p, simplex = _load_inputs(args)
-    degree = args.degree if getattr(args, "degree", None) is not None else p.degree
+    degree = p.degree if args.degree is None else args.degree
     system = barycentric_system(simplex if on is None else on)
     return to_bernstein(p, system, degree)
 

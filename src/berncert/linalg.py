@@ -35,25 +35,9 @@ from itertools import chain
 from math import gcd, prod
 from operator import mul
 
-from .polynomials import over_common_denominator
+from .polynomials import MAX_UNKNOWNS, over_common_denominator
 
 __all__ = ["MAX_UNKNOWNS", "SingularMatrixError", "determinant", "solve", "invert", "ldl_pivots"]
-
-
-# The most unknowns of any linear system a conversion builds: on an n-simplex, the
-# n of the simplex's determinant, the n+1 of the coordinate inverse and the C(n+k, n)
-# of the basis change at k = deg P.  A larger one is a ValueError before the standard
-# simplex or the matrix is built, so no enumeration of a simplex's indices nears the
-# recursion limit.  The benchmark's largest system has 70 unknowns.
-MAX_UNKNOWNS = 300
-
-
-def _check_unknowns(count: int, what: str) -> None:
-    if count > MAX_UNKNOWNS:
-        raise ValueError(
-            f"{what} needs a linear system with {count} unknowns, "
-            f"more than the bound of {MAX_UNKNOWNS}"
-        )
 
 
 class SingularMatrixError(ValueError):

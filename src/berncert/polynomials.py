@@ -54,6 +54,22 @@ class PolynomialParseError(ValueError):
     """Raised when polynomial text does not match the grammar."""
 
 
+# The most unknowns of any linear system a conversion builds: on an n-simplex, n for the
+# determinant, n+1 for the coordinate inverse and C(n+k, n) for the basis change at
+# k = deg P; so also the most variables a text may name.  A larger count is a ValueError
+# before a tuple of that length or the matrix is built, so no index enumeration nears the
+# recursion limit.  The benchmark's largest system has 70 unknowns.
+MAX_UNKNOWNS = 300
+
+
+def _check_unknowns(count: int, what: str) -> None:
+    if count > MAX_UNKNOWNS:
+        raise ValueError(
+            f"{what} needs a linear system with {count} unknowns, "
+            f"more than the bound of {MAX_UNKNOWNS}"
+        )
+
+
 # the exponent of a literal as ``Fraction`` spells it: Unicode digits, "_" between them
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 # Python 3.10 before 3.10.7 has no integer digit limit: 0 means none
@@ -384,8 +400,10 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> Polynomial:
 
     With ``num_vars=None`` the variable count is inferred from the highest
     variable index mentioned (at least 1).  Referencing a variable beyond
-    an explicit ``num_vars`` is an error.  The terms are summed as int
-    numerators over their lcm denominator, reduced once at the end.
+    an explicit ``num_vars`` is an error, and so is a count, inferred or
+    given, above ``MAX_UNKNOWNS``, before any exponent tuple is built.
+    The terms are summed as int numerators over their lcm denominator,
+    reduced once at the end.
     """
     first = _token_at(text, 0)
     if not first:
@@ -439,6 +457,7 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> Polynomial:
             f"variable x{highest} used but only {num_vars} variable(s) declared"
         )
     as_int(num_vars, "num_vars", minimum=1)
+    _check_unknowns(num_vars, f"a polynomial in {num_vars} variables")
     den = lcm(*(d for _, d, _ in parsed))
     acc: dict[tuple[int, ...], int] = {}
     for num, d, powers in parsed:

@@ -28,8 +28,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .linalg import _check_unknowns, determinant, invert
-from .polynomials import Polynomial, _Immutable, as_int, as_rational, over_common_denominator
+from .linalg import determinant, invert
+from .polynomials import (
+    Polynomial, _check_unknowns, _Immutable, as_int, as_rational, over_common_denominator
+)
 
 __all__ = [
     "DegenerateSimplexError",

@@ -150,12 +150,19 @@ def test_module_entry_point_passes_the_exit_code():
     assert degenerate.stderr.startswith("error:")
     # refused before the work, which would take seconds and up to a gigabyte:
     # building 10^exponent in full, a standard simplex of thousands of
-    # dimensions, or a 1891-unknown basis change
+    # dimensions, a 1891-unknown basis change, or one exponent tuple per term
+    # as long as the text's highest variable index
     for argv, named in (
         (["convert", "x1", "--simplex", "[[0],[1e10000000]]"], "exceeds 4300"),
         (["convert", "x1", "--simplex", '[[0],["1e10000000"]]'], "exceeds 4300"),
         (["convert", "x1", "--simplex", "[[0],[1e-10000000]]"], "exceeds 4300"),
-        (["convert", "x6000"], "has 6001 coefficients"),
+        (["convert", "x6000"], "6000 unknowns, more than the bound of 300"),
+        # the parser refuses the variable count before it builds an exponent tuple
+        *(
+            (["convert", text], f"a polynomial in {n} variables needs a linear system with "
+             f"{n} unknowns, more than the bound of 300")
+            for text, n in (("x10000000", 10**7), ("0*x3000000", 3 * 10**6), ("x1000000000", 10**9))
+        ),
         (["convert", "x1", "--simplex", "std6000"], "6000 unknowns, more than the bound of 300"),
         (["restrict", "x1", "--to", "std3000"], "3000 unknowns, more than the bound of 300"),
         (["convert", "1", "--simplex", "std3000"], "3000 unknowns, more than the bound of 300"),

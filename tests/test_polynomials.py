@@ -7,6 +7,7 @@ from math import lcm
 import pytest
 
 from berncert import (
+    MAX_UNKNOWNS,
     Polynomial,
     PolynomialParseError,
     as_rational,
@@ -57,6 +58,15 @@ def test_parse_repeated_variable_multiplies():
 def test_parse_infers_variable_count():
     assert parse_polynomial("x3 + 1").num_vars == 3
     assert parse_polynomial("5").num_vars == 1
+
+
+def test_parse_refuses_more_variables_than_the_unknowns_bound():
+    # no simplex has more than MAX_UNKNOWNS dimensions, so no text may name more variables
+    assert MAX_UNKNOWNS == 300
+    assert parse_polynomial("x300").num_vars == 300
+    for text, num_vars in (("x301", None), ("x1", 301)):
+        with pytest.raises(ValueError, match=r"\b301 unknowns, more than the bound of 300"):
+            parse_polynomial(text, num_vars=num_vars)
 
 
 def test_parse_errors():
