@@ -12,6 +12,7 @@ from .bernstein import *
 from .subdivision import *
 from .certify import *
 from .serialize import *
+from .check import *
 from .counterexample import *
 
 __version__ = "0.1.0"
@@ -19,6 +20,6 @@ __version__ = "0.1.0"
 __all__ = ["__version__"]
 for _name in (
     "polynomials", "linalg", "simplices", "bernstein",
-    "subdivision", "certify", "serialize", "counterexample",
+    "subdivision", "certify", "serialize", "check", "counterexample",
 ):
     __all__ += _sys.modules[f"{__name__}.{_name}"].__all__

@@ -28,6 +28,12 @@ cached table, ``_conversion_table``, which first refuses a form with
 more than ``MAX_COEFFICIENTS`` coefficients or a basis change with more
 than ``linalg.MAX_UNKNOWNS`` unknowns, before any index is enumerated.
 The only Fractions a conversion builds are the solve's solution entries.
+The engine keeps this solve for now: the benchmark's traced workloads
+require nonzero ``linalg.solve``, ``linalg.invert`` and
+``Polynomial.__mul__`` counts, which only ``certify``'s root conversion
+and ``verify_tree``'s leaf check supply (ROADMAP items 1 and 2).  The
+closed form that needs no coordinates, no basis products and no solve
+is ``check.homogenised_form``; the study and ``check_certificate`` use it.
 Kernel outputs are wrapped unchecked (``BernsteinForm._canonical``); the
 public constructor and ``serialize.form_from_json`` both build through
 the one checked constructor, ``BernsteinForm._from_ratios``.

@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Commands: convert, restrict, elevate, certify, paper.  All output is
+Commands: convert, restrict, elevate, certify, verify, paper.  All output is
 deterministic; machine mode (--json) prints one canonical compact JSON
 document whose sha256 is the digest recorded in the optional run
 manifest.  Errors go to standard error only and nothing is printed to
@@ -15,7 +15,10 @@ which certify checks for its --max-degree before the search, or a
 linear system with more than ``linalg.MAX_UNKNOWNS`` unknowns, checked
 before a stdN simplex or the matrix is built),
 3 requested degree below the polynomial degree, 4 degenerate simplex,
-5 the recursion limit reached by certify's search.
+5 the recursion limit reached by certify's search, 6 a certificate that
+``verify`` rejects for the given polynomial and simplex (``verify``
+exits 0 when it proves the target and 1 when it is a consistent
+exhausted certificate).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .certify import (
     failing_leaves,
     walk,
 )
+from .check import CertificateRejected, check_certificate
 from .counterexample import render_report, reproduce_report
 from .polynomials import Polynomial, parse_polynomial
 from .serialize import (
@@ -59,7 +63,7 @@ __all__ = ["main"]
 _TARGET_ALIASES = {"pos": Target.POSITIVE.value, "nonneg": Target.NONNEGATIVE.value}
 
 # exit codes of the errors that are not plain bad input (2)
-_EXIT_CODES = {DegreeTooLowError: 3, DegenerateSimplexError: 4}
+_EXIT_CODES = {DegreeTooLowError: 3, DegenerateSimplexError: 4, CertificateRejected: 6}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,11 +147,25 @@ def _build_parser() -> argparse.ArgumentParser:
         default="witness",
         help="refinement strategy (default witness)",
     )
+    target_choices = sorted([t.value for t in Target] + list(_TARGET_ALIASES))
     p_certify.add_argument(
         "--target",
-        choices=sorted([t.value for t in Target] + list(_TARGET_ALIASES)),
+        choices=target_choices,
         default="nonnegative",
         help="certificate target (default nonnegative)",
+    )
+
+    p_verify = sub.add_parser(
+        "verify",
+        help="check a certify --json certificate against a polynomial and simplex",
+    )
+    p_verify.add_argument("certificate", metavar="CERT", help="certify --json output file")
+    add_common(p_verify, with_degree=False)
+    p_verify.add_argument(
+        "--target",
+        choices=target_choices,
+        default=None,
+        help="target to prove (default: the certificate's own)",
     )
 
     p_paper = sub.add_parser(
@@ -298,6 +316,27 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
     return payload, "\n".join(lines), 0 if certified else 1
 
 
+def _cmd_verify(args) -> tuple[dict, str, int]:
+    p, simplex = _load_inputs(args)
+    try:
+        payload = parse_json_exact(Path(args.certificate).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"certificate is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("certificate is nested too deeply to parse") from exc
+    target = _TARGET_ALIASES.get(args.target, args.target)
+    outcome = check_certificate(payload, p, simplex, target)
+    target = target or payload["target"]  # the payload's, once the check has read it
+    lines = [
+        f"status: {outcome.capitalize()}",
+        f"target: {target}",
+        f"polynomial: {p}",
+        f"simplex: {simplex}",
+    ]
+    result = {"status": outcome, "target": target}
+    return result, "\n".join(lines), 0 if outcome == "certified" else 1
+
+
 def _cmd_paper(args) -> tuple[dict, str, int]:
     report = reproduce_report()
     return report, render_report(report), 0 if report["all_match"] else 1
@@ -325,6 +364,7 @@ _COMMANDS = {
     "restrict": _cmd_restrict,
     "elevate": _cmd_elevate,
     "certify": _cmd_certify,
+    "verify": _cmd_verify,
     "paper": _cmd_paper,
 }
 

@@ -16,9 +16,13 @@ their triangle with the same checked builder as ``family_simplex``.
 
 ``reproduce_report`` re-derives all of those values with this engine and
 flags each row MATCH/MISMATCH against the reference values recorded from
-the original write-up.  One reference formula in the warm-up example is
-arithmetically wrong (see README), so a fresh build intentionally shows
-MISMATCH rows for it, with both values printed.
+the original write-up.  Every conversion of the study (the root form,
+the warm-up's initial form and its six restrictions, and the 16 family
+simplices) is ``check.homogenised_form``, the closed form that needs
+only the vertices; the warm-up's depth-1 certificate is ``certify``'s.
+One reference formula in the warm-up example is arithmetically wrong
+(see README), so a fresh build intentionally shows MISMATCH rows for
+it, with both values printed.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bernstein import BernsteinForm, cert_status, to_bernstein
+from .bernstein import BernsteinForm, cert_status
 from .certify import (
     CertifyConfig,
     EdgeSplit,
@@ -35,6 +39,7 @@ from .certify import (
     certify,
     is_certified,
 )
+from .check import homogenised_form
 from .linalg import ldl_pivots
 from .polynomials import (
     Polynomial,
@@ -302,7 +307,7 @@ def _row(item: str, reference: str, computed: str) -> dict:
 def _example1_rows() -> list[dict]:
     demo = split_demo_polynomial()
     std2 = standard_simplex(2)
-    form = to_bernstein(demo, barycentric_system(std2), 2)
+    form = homogenised_form(demo, std2, 2)
     initial_refs = {
         (2, 0, 0): Fraction(0),
         (1, 1, 0): Fraction(0),
@@ -325,7 +330,7 @@ def _example1_rows() -> list[dict]:
         )
         ref_002 = Fraction(1, 8) * (1 - theta) * theta + Fraction(1, 4)
         for label, piece, ref_011 in pieces:
-            restricted = to_bernstein(demo, barycentric_system(piece), 2)
+            restricted = homogenised_form(demo, piece, 2)
             refs = (((0, 2, 0), 1), ((0, 1, 1), ref_011), ((0, 0, 2), ref_002))
             for index, ref in refs:
                 compact = str(index).replace(" ", "")
@@ -411,8 +416,8 @@ def _persistence_rows(p: Polynomial, form: BernsteinForm) -> list[dict]:
         for rho in _RHO_GRID:
             closed = persistence_value(beta1, rho)
             via_transfer = transfer_combined(form, weights, rho).coefficient((1, 1, 2))
-            via_conversion = to_bernstein(
-                p, barycentric_system(family_simplex(weights, rho)), 4
+            via_conversion = homogenised_form(
+                p, family_simplex(weights, rho), 4
             ).coefficient((1, 1, 2))
             if via_transfer == via_conversion:
                 computed = str(via_transfer)
@@ -439,12 +444,16 @@ def _persistence_rows(p: Polynomial, form: BernsteinForm) -> list[dict]:
 def reproduce_report() -> dict:
     """Re-derive every recorded value and flag each row MATCH/MISMATCH.
 
+    Each Bernstein form the study reads is converted by
+    ``check.homogenised_form``; the persistence rows compare it with the
+    closed-form triangle transfer on every family simplex.
+
     Returns {"example1": {...}, "counterexample": {...}, "gram": {...},
     "persistence": {...}, "all_match": bool} where each section holds a
     list of rows {item, reference, computed, match}.
     """
     p = counterexample_polynomial()
-    form = to_bernstein(p, barycentric_system(standard_simplex(2)), 4)
+    form = homogenised_form(p, standard_simplex(2), 4)
     sections = {
         "example1": _example1_rows(),
         "counterexample": _counterexample_rows(p, form),

@@ -41,7 +41,7 @@ def test_package_imports_only_the_standard_library():
 # the library modules in dependency order; ``cli`` and ``__main__`` are the program
 LIBRARY = (
     "polynomials", "linalg", "simplices", "bernstein",
-    "subdivision", "certify", "serialize", "counterexample",
+    "subdivision", "certify", "serialize", "check", "counterexample",
 )
 
 
