@@ -74,19 +74,15 @@ def homogenised_form(p: Polynomial, simplex: Simplex, degree: int) -> BernsteinF
     # powers[m][t] = L_m^t, extended as the terms need them
     powers = [[{0: 1}] for _ in range(n)]
     linear = [[(s, v[m]) for s, v in zip(steps, vertices) if v[m]] for m in range(n)]
-    products: dict[tuple[int, ...], dict] = {(): {0: 1}}  # L^e per exponent prefix
     layers: list[dict[int, int]] = [{} for _ in range(k + 1)]  # H_j
     for e, c in p.nums.items():
-        term = products[()]
+        term = {0: 1}  # L^e
         for m, t in enumerate(e):
-            key = e[: m + 1]
-            got = products.get(key)
-            if got is None:
+            if t:
                 table = powers[m]
                 while len(table) <= t:
                     table.append(_times(table[-1], linear[m]))
-                got = products[key] = _times(term, table[t].items()) if t else term
-            term = got
+                term = _times(term, table[t].items())
         layer = layers[sum(e)]
         for code, v in term.items():
             layer[code] = layer.get(code, 0) + c * v

@@ -76,6 +76,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_output(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--json", action="store_true", help="print canonical JSON")
+        p.add_argument(
+            "--manifest",
+            default=None,
+            metavar="PATH",
+            help="write a run manifest (command echo, timestamp, result digest)",
+        )
+
+    def add_target(p: argparse.ArgumentParser, default, help: str) -> None:
+        # an alias is resolved as it is read, so every later reader sees the canonical name
+        p.add_argument(
+            "--target",
+            type=lambda text: _TARGET_ALIASES.get(text, text),
+            choices=sorted([t.value for t in Target] + list(_TARGET_ALIASES)),
+            default=default,
+            help=help,
+        )
+
     def add_common(p: argparse.ArgumentParser, with_degree: bool = True) -> None:
         p.add_argument(
             "polynomial",
@@ -98,13 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="Bernstein degree (default: the polynomial's degree)",
             )
-        p.add_argument("--json", action="store_true", help="print canonical JSON")
-        p.add_argument(
-            "--manifest",
-            default=None,
-            metavar="PATH",
-            help="write a run manifest (command echo, timestamp, result digest)",
-        )
+        add_output(p)
 
     p_convert = sub.add_parser(
         "convert", help="expand a polynomial in the Bernstein basis"
@@ -147,13 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="witness",
         help="refinement strategy (default witness)",
     )
-    target_choices = sorted([t.value for t in Target] + list(_TARGET_ALIASES))
-    p_certify.add_argument(
-        "--target",
-        choices=target_choices,
-        default="nonnegative",
-        help="certificate target (default nonnegative)",
-    )
+    add_target(p_certify, "nonnegative", "certificate target (default nonnegative)")
 
     p_verify = sub.add_parser(
         "verify",
@@ -161,12 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("certificate", metavar="CERT", help="certify --json output file")
     add_common(p_verify, with_degree=False)
-    p_verify.add_argument(
-        "--target",
-        choices=target_choices,
-        default=None,
-        help="target to prove (default: the certificate's own)",
-    )
+    add_target(p_verify, None, "target to prove (default: the certificate's own)")
 
     p_paper = sub.add_parser(
         "paper",
@@ -175,10 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "MATCH/MISMATCH"
         ),
     )
-    p_paper.add_argument("--json", action="store_true", help="print canonical JSON")
-    p_paper.add_argument(
-        "--manifest", default=None, metavar="PATH", help="write a run manifest"
-    )
+    add_output(p_paper)
 
     return parser
 
@@ -186,21 +185,23 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _read_json(text: str, what: str):
+    """``text`` parsed exactly; bad or too deeply nested JSON is bad input naming ``what``."""
+    try:
+        return parse_json_exact(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{what} is nested too deeply to parse") from exc
+
+
 def _parse_simplex_spec(spec: str) -> Simplex:
     match = re.fullmatch(r"std(\d+)", spec)
     if match:
         return standard_simplex(int(match.group(1)))
     if spec.startswith("@"):
-        text = Path(spec[1:]).read_text(encoding="utf-8")
-    else:
-        text = spec
-    try:
-        obj = parse_json_exact(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"simplex spec is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ValueError("simplex spec is nested too deeply to parse") from exc
-    return simplex_from_json(obj)
+        spec = Path(spec[1:]).read_text(encoding="utf-8")
+    return simplex_from_json(_read_json(spec, "simplex spec"))
 
 
 def _load_inputs(args) -> tuple[Polynomial, Simplex]:
@@ -256,7 +257,7 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
         max_depth=args.max_depth,
         max_degree=args.max_degree,
         strategy=args.strategy,
-        target=_TARGET_ALIASES.get(args.target, args.target),
+        target=args.target,
     )
     tree = certify(p, simplex, config)
     frontier = failing_leaves(tree, config.target)
@@ -318,15 +319,9 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
 
 def _cmd_verify(args) -> tuple[dict, str, int]:
     p, simplex = _load_inputs(args)
-    try:
-        payload = parse_json_exact(Path(args.certificate).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"certificate is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ValueError("certificate is nested too deeply to parse") from exc
-    target = _TARGET_ALIASES.get(args.target, args.target)
-    outcome = check_certificate(payload, p, simplex, target)
-    target = target or payload["target"]  # the payload's, once the check has read it
+    payload = _read_json(Path(args.certificate).read_text(encoding="utf-8"), "certificate")
+    outcome = check_certificate(payload, p, simplex, args.target)
+    target = args.target or payload["target"]  # the payload's, once the check has read it
     lines = [
         f"status: {outcome.capitalize()}",
         f"target: {target}",

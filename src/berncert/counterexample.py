@@ -12,7 +12,8 @@ The paper's triangle lemmas are checked closed formulas of the study,
 not engine paths: ``transfer_vertex_v1`` moves v1, ``transfer_combined``
 also moves v2 toward v0 (the engine's edge move is
 ``subdivision.transfer_edge_v2``).  They share one inner sum and build
-their triangle with the same checked builder as ``family_simplex``.
+their triangle, as ``family_simplex`` does, from three of the engine's
+edge moves (``Simplex._moved``), with no elimination.
 
 ``reproduce_report`` re-derives all of those values with this engine and
 flags each row MATCH/MISMATCH against the reference values recorded from
@@ -197,8 +198,10 @@ def _check_vertex_weights(beta: tuple[Fraction, ...]) -> None:
 
 
 def _moved_triangle(simplex: Simplex, beta, rho) -> tuple[Simplex, tuple, Fraction]:
-    """The checked triangle (v0, beta0*v0 + beta1*v1 + beta2*v2, rho*v0 + (1-rho)*v2),
-    with beta and rho as Fractions; beta1 > 0 and rho < 1 keep it nondegenerate."""
+    """The triangle (v0, beta0*v0 + beta1*v1 + beta2*v2, rho*v0 + (1-rho)*v2), with beta
+    and rho as Fractions: three edge moves (v1 toward v0 at beta0/(beta0+beta1), then
+    toward v2 at beta2; v2 toward v0 at rho), each keeping a positive weight on the vertex
+    it replaces (beta1 > 0, rho < 1), so ``Simplex._moved`` runs no elimination."""
     if simplex.dimension != 2:
         raise ValueError(
             f"closed-form transfers are defined for 2-simplices, got dimension "
@@ -208,10 +211,8 @@ def _moved_triangle(simplex: Simplex, beta, rho) -> tuple[Simplex, tuple, Fracti
     rho = as_rational(rho)
     _check_vertex_weights(beta)
     _check_edge_ratio(rho)
-    v0, v1, v2 = simplex.vertices
     b0, b1, b2 = beta
-    w1 = tuple(b0 * x + b1 * y + b2 * z for x, y, z in zip(v0, v1, v2))
-    return Simplex((v0, w1, v2))._moved(2, 0, rho), beta, rho
+    return simplex._moved(1, 0, b0 / (b0 + b1))._moved(1, 2, b2)._moved(2, 0, rho), beta, rho
 
 
 def family_simplex(beta, rho) -> Simplex:
@@ -415,10 +416,9 @@ def _persistence_rows(p: Polynomial, form: BernsteinForm) -> list[dict]:
         weights = vertex_weights_for(beta1)
         for rho in _RHO_GRID:
             closed = persistence_value(beta1, rho)
-            via_transfer = transfer_combined(form, weights, rho).coefficient((1, 1, 2))
-            via_conversion = homogenised_form(
-                p, family_simplex(weights, rho), 4
-            ).coefficient((1, 1, 2))
+            transferred = transfer_combined(form, weights, rho)
+            via_transfer = transferred.coefficient((1, 1, 2))
+            via_conversion = homogenised_form(p, transferred.simplex, 4).coefficient((1, 1, 2))
             if via_transfer == via_conversion:
                 computed = str(via_transfer)
             else:

@@ -337,6 +337,9 @@ def test_verify_exit_codes(tmp_path, capsys):
         code, out, err = _run(capsys, "verify", *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and err.count("\n") == 1
+    code, out, err = _run(capsys, "verify", str(garbled), SPLIT_DEMO_TEXT)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: certificate is not valid JSON: ") and err.count("\n") == 1
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000)
     code, out, err = _run(capsys, "verify", str(deep), SPLIT_DEMO_TEXT)

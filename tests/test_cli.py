@@ -94,20 +94,32 @@ def test_exit_code_zero_denominator_in_simplex(capsys):
 def test_exit_code_bad_simplex_spec(tmp_path, capsys):
     deep = tmp_path / "deep.json"  # nested past the recursion limit: no search ran, so not 5
     deep.write_text("[" * 50_000 + "]" * 50_000)
-    for argv in (
-        ["convert", "x1", "--simplex", "[[0],"],  # not JSON
-        ["convert", "x1", "--simplex", "std0"],
-        ["restrict", "x1^2 + x2", "--to", "std3"],  # not the polynomial's dimension
-        ["convert", "x1", "--simplex", f"@{deep}"],
-        ["restrict", DEMO, "--to", f"@{deep}"],
-        ["convert", "x1", "--simplex", "5"],  # JSON, but not a list of vertex lists
-        ["convert", "x1", "--simplex", '{"a": 1}'],
-        ["convert", "x1", "--simplex", '"std1"'],
+    not_json = "error: simplex spec is not valid JSON: "
+    too_deep = "error: simplex spec is nested too deeply to parse\n"
+    for argv, message in (
+        (["convert", "x1", "--simplex", "[[0],"], not_json),
+        (["convert", "x1", "--simplex", "std0"], "error:"),
+        (["restrict", "x1^2 + x2", "--to", "std3"], "error:"),  # not the polynomial's dimension
+        (["convert", "x1", "--simplex", f"@{deep}"], too_deep),
+        (["restrict", DEMO, "--to", f"@{deep}"], too_deep),
+        (["convert", "x1", "--simplex", "5"], "error:"),  # JSON, but not a list of vertex lists
+        (["convert", "x1", "--simplex", '{"a": 1}'], "error:"),
+        (["convert", "x1", "--simplex", '"std1"'], "error:"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith(message) and err.count("\n") == 1, argv
+    # both commands that take --target list its aliases, and an alias is read as its
+    # canonical name, which is what a manifest echoes
+    for command in ("certify", "verify"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert "{nonneg,nonnegative,pos,positive}" in capsys.readouterr().out
+    manifest = tmp_path / "manifest.json"
+    run(capsys, "certify", DEMO, "--target", "pos", "--manifest", str(manifest))
+    assert json.loads(manifest.read_text())["inputs"]["target"] == "positive"
 
 
 def test_exit_code_form_too_large(capsys):

@@ -7,6 +7,7 @@ from berncert import (
     COUNTEREXAMPLE_TEXT,
     GRAM_MATRIX,
     GramDecomposition,
+    Simplex,
     barycentric_system,
     cert_status,
     counterexample_gram,
@@ -26,8 +27,9 @@ from berncert import (
     verify_gram,
     vertex_weights_for,
 )
+from berncert import simplices
 from berncert.counterexample import gram_monomials, gram_polynomial
-from helpers import rand_point_in
+from helpers import rand_edge_ratio, rand_point_in, rand_simplex, rand_vertex_weights
 
 STD2 = standard_simplex(2)
 
@@ -144,6 +146,31 @@ def test_family_simplex_geometry():
         family_simplex((1, 0, 0), 0)  # beta1 must be positive
     with pytest.raises(ValueError):
         family_simplex((0, 1, 0), 1)  # rho = 1 degenerates the simplex
+
+    # the transfer's triangle comes from unchecked edge moves: it must be the
+    # checked one, with the determinant beta1 * (1 - rho) * det(S)
+    rng = random.Random(2701)
+    x1 = parse_polynomial("x1", num_vars=2)
+    for _ in range(40):
+        s = rand_simplex(rng)
+        beta, rho = rand_vertex_weights(rng), rand_edge_ratio(rng)
+        moved = transfer_combined(to_bernstein(x1, barycentric_system(s), 1), beta, rho).simplex
+        v0, v1, v2 = s.vertices
+        w1 = tuple(beta[0] * a + beta[1] * b + beta[2] * c for a, b, c in zip(v0, v1, v2))
+        w2 = tuple(rho * a + (1 - rho) * c for a, c in zip(v0, v2))
+        assert moved == Simplex((v0, w1, w2))
+        assert moved.determinant == beta[1] * (1 - rho) * s.determinant
+        assert family_simplex(beta, rho) == Simplex(((0, 0), beta[1:], (0, 1 - rho)))
+
+
+def test_report_eliminates_only_the_checked_simplices(monkeypatch):
+    # the two standard triangles and the warm-up's six pieces; the 16 family
+    # triangles come from edge moves and are not eliminated
+    calls = []
+    real = simplices.determinant
+    monkeypatch.setattr(simplices, "determinant", lambda matrix: calls.append(1) or real(matrix))
+    reproduce_report()
+    assert len(calls) <= 8
 
 
 def test_persistence_grid_three_ways():
