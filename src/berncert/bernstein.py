@@ -32,8 +32,8 @@ The engine keeps this solve for now: the benchmark's traced workloads
 require nonzero ``linalg.solve``, ``linalg.invert`` and
 ``Polynomial.__mul__`` counts, which only ``certify``'s root conversion
 and ``verify_tree``'s leaf check supply (ROADMAP items 1 and 2).  The
-closed form that needs no coordinates, no basis products and no solve
-is ``check.homogenised_form``; the study and ``check_certificate`` use it.
+second conversion, ``homogenised_form``, is closed: it reads only the
+vertices; the study and ``check_certificate`` use it.
 Kernel outputs are wrapped unchecked (``BernsteinForm._canonical``); the
 public constructor and ``serialize.form_from_json`` both build through
 the one checked constructor, ``BernsteinForm._from_ratios``.
@@ -65,7 +65,7 @@ from .polynomials import (
     same_values,
     vectors_with_sum,
 )
-from .simplices import BarycentricSystem
+from .simplices import BarycentricSystem, Simplex, barycentric_system
 
 __all__ = [
     "MAX_COEFFICIENTS",
@@ -75,6 +75,7 @@ __all__ = [
     "CertStatus",
     "bernstein_basis_polynomial",
     "to_bernstein",
+    "homogenised_form",
     "from_bernstein",
     "degree_elevate",
     "cert_status",
@@ -334,6 +335,91 @@ def _conversion_table(n: int, k: int, d: int) -> tuple[tuple, MappingProxyType, 
     deltas = tuple((e, multinomial(d - k, e)) for e in vectors_with_sum(n + 1, d - k))
     weights = tuple((g, prod(map(factorial, g))) for g in vectors_with_sum(n + 1, d))
     return alphas, MappingProxyType(row), deltas, weights
+
+
+def _times(poly: dict, factor) -> dict:
+    """poly * factor on coded indices; ``factor`` is a re-iterable of (code, value) pairs."""
+    out: dict[int, int] = {}
+    for c1, v1 in poly.items():
+        for c2, v2 in factor:
+            key = c1 + c2
+            out[key] = out.get(key, 0) + v1 * v2
+    return out
+
+
+def homogenised_form(p: Polynomial, simplex: Simplex, degree: int) -> BernsteinForm:
+    """P's exact degree-d Bernstein form on the simplex, in closed form.
+
+    It needs only the simplex's vertices: no barycentric coordinates, no
+    inverse, no basis products and no linear solve (Farouki, "The Bernstein
+    polynomial basis: a centennial retrospective", CAGD 2012).  With the
+    vertices v_i = V_i / D over one denominator, each variable is
+    x_m = L_m(lambda) / D for the integer linear form L_m = sum_i V_im lambda_i.
+    With P = sum c_e x^e / den_P of degree k, and sum_i lambda_i = 1 on the
+    simplex,
+
+        den_P * D^k * P(x)
+            = (sum lambda)^(d-k) * sum_j (D sum lambda)^(k-j) H_j,
+        H_j = sum over |e| = j of c_e L^e,
+
+    is a form of degree d in lambda whose coefficient f_alpha at lambda^alpha
+    is den_P * D^k * M(d, alpha) * b_alpha, so b_alpha = f_alpha * alpha!
+    over den_P * D^k * d!.  The sum runs in Horner's order on integer
+    numerators; the H_j read shared tables of the powers of each L_m.  A
+    multi-index alpha is held as one int, sum_i alpha_i (d+1)^i, so that
+    multiplying by lambda_i adds (d+1)^i.
+
+    Refuses what ``to_bernstein`` refuses, with the same types and in the
+    same order: a variable-count mismatch (ValueError), a degree below
+    deg P (DegreeTooLowError) and a form with more than
+    ``MAX_COEFFICIENTS`` coefficients (ValueError).  It builds no linear
+    system, so no unknowns bound applies.
+    """
+    n = simplex.dimension
+    if p.num_vars != n:
+        raise ValueError(f"variable count mismatch: {p.num_vars} != {n}")
+    k = p.degree
+    if k > as_int(degree, "degree"):
+        raise DegreeTooLowError(required=k, requested=degree)
+    _check_size(n, degree)
+    base = degree + 1
+    steps = [base**i for i in range(n + 1)]
+    vertices = simplex.nums
+    # powers[m][t] = L_m^t, extended as the terms need them
+    powers = [[{0: 1}] for _ in range(n)]
+    linear = [[(s, v[m]) for s, v in zip(steps, vertices) if v[m]] for m in range(n)]
+    layers: list[dict[int, int]] = [{} for _ in range(k + 1)]  # H_j
+    for e, c in p.nums.items():
+        term = {0: 1}  # L^e
+        for m, t in enumerate(e):
+            if t:
+                table = powers[m]
+                while len(table) <= t:
+                    table.append(_times(table[-1], linear[m]))
+                term = _times(term, table[t].items())
+        layer = layers[sum(e)]
+        for code, v in term.items():
+            layer[code] = layer.get(code, 0) + c * v
+    den = simplex.den
+    scaled_sum, plain_sum = [(s, den) for s in steps], [(s, 1) for s in steps]
+    acc = layers[0]
+    for layer in layers[1:]:  # acc = acc * D * sum(lambda) + H_j
+        acc = _times(acc, scaled_sum)
+        for code, v in layer.items():
+            acc[code] = acc.get(code, 0) + v
+    for _ in range(degree - k):
+        acc = _times(acc, plain_sum)
+    fact = [factorial(a) for a in range(base)]
+    nums = {}
+    for code, v in acc.items():
+        if v:
+            alpha = []
+            for _ in range(n + 1):
+                code, a = divmod(code, base)
+                alpha.append(a)
+            nums[tuple(alpha)] = v * prod(fact[a] for a in alpha)
+    form_den = p.den * den**k * factorial(degree)
+    return BernsteinForm._canonical(barycentric_system(simplex), degree, form_den, nums)
 
 
 def from_bernstein(form: BernsteinForm) -> Polynomial:

@@ -46,6 +46,7 @@ from .polynomials import Polynomial, parse_polynomial
 from .serialize import (
     canonical_dumps,
     digest,
+    failing_to_json,
     form_to_json,
     parse_json_exact,
     simplex_from_json,
@@ -269,15 +270,7 @@ def _cmd_certify(args) -> tuple[dict, str, int]:
         "strategy": config.strategy.value,
         "max_depth": config.max_depth,
         "max_degree": max_degree,
-        "failing": [
-            {
-                "path": list(path),
-                "negative_indices": [
-                    list(index) for index in leaf.status.negative_indices
-                ],
-            }
-            for path, leaf in frontier
-        ],
+        "failing": failing_to_json(frontier),
     }
     if args.json or args.manifest is not None:  # text mode prints no tree
         payload["tree"] = tree_to_json(tree)

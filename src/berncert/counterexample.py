@@ -19,7 +19,7 @@ edge moves (``Simplex._moved``), with no elimination.
 flags each row MATCH/MISMATCH against the reference values recorded from
 the original write-up.  Every conversion of the study (the root form,
 the warm-up's initial form and its six restrictions, and the 16 family
-simplices) is ``check.homogenised_form``, the closed form that needs
+simplices) is ``bernstein.homogenised_form``, the closed form that needs
 only the vertices; the warm-up's depth-1 certificate is ``certify``'s.
 One reference formula in the warm-up example is arithmetically wrong
 (see README), so a fresh build intentionally shows MISMATCH rows for
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bernstein import BernsteinForm, cert_status
+from .bernstein import BernsteinForm, cert_status, homogenised_form
 from .certify import (
     CertifyConfig,
     EdgeSplit,
@@ -40,7 +40,6 @@ from .certify import (
     certify,
     is_certified,
 )
-from .check import homogenised_form
 from .linalg import ldl_pivots
 from .polynomials import (
     Polynomial,
@@ -445,7 +444,7 @@ def reproduce_report() -> dict:
     """Re-derive every recorded value and flag each row MATCH/MISMATCH.
 
     Each Bernstein form the study reads is converted by
-    ``check.homogenised_form``; the persistence rows compare it with the
+    ``bernstein.homogenised_form``; the persistence rows compare it with the
     closed-form triangle transfer on every family simplex.
 
     Returns {"example1": {...}, "counterexample": {...}, "gram": {...},

@@ -4,8 +4,10 @@ Rationals render as integers when the denominator is 1 and as "p/q"
 strings otherwise, so nothing ever passes through a float.  Encoders
 iterate in sorted (graded-lex) order and ``canonical_dumps`` fixes the
 byte layout, which is what makes runs reproducible and digest-stable.
-Decoders require an int wherever one is stored; its range is checked
-by the form it builds or by ``verify_tree``'s replay.
+Decoders require an int wherever one is stored (its range is checked by
+the form it builds or by the replay that reads it) and a JSON list
+wherever the schema has one.  ``failing_to_json`` writes a certify
+payload's frontier, for the CLI and the checker alike.
 
 Simplices and forms are written and read in their integer form: each
 value is reduced with one gcd on the way out, and an int or "p/q"
@@ -43,6 +45,7 @@ __all__ = [
     "split_from_json",
     "tree_to_json",
     "tree_from_json",
+    "failing_to_json",
     "canonical_dumps",
     "digest",
     "parse_json_exact",
@@ -110,17 +113,25 @@ def form_to_json(form: BernsteinForm) -> dict:
     }
 
 
+def _list(value, field: str) -> list:
+    """``value`` when it is a JSON list; any other value (``""``, ``{}``) is a ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list, not {type(value).__name__}")
+    return value
+
+
 def form_from_json(obj) -> BernsteinForm:
     """The form a ``form_to_json`` payload encodes; an index listed twice is a ValueError."""
     system = barycentric_system(simplex_from_json(obj["simplex"]))
-    pairs = ((entry["index"], entry["value"]) for entry in obj["coefficients"])
+    entries = _list(obj["coefficients"], "coefficients")
+    pairs = ((entry["index"], entry["value"]) for entry in entries)
     return BernsteinForm._from_ratios(system, obj["degree"], pairs, _ratio_from_json)
 
 
 def status_to_json(status: CertStatus) -> dict:
     return {
         "kind": status.kind.value,
-        "negative_indices": list(status.negative_indices),
+        "negative_indices": [list(index) for index in status.negative_indices],
     }
 
 
@@ -128,8 +139,8 @@ def status_from_json(obj) -> CertStatus:
     return CertStatus(
         CertKind(obj["kind"]),
         tuple(
-            tuple(as_int(a, "negative index entry", minimum=None) for a in index)
-            for index in obj["negative_indices"]
+            tuple(as_int(a, "negative index entry", minimum=None) for a in _list(index, "negative index"))
+            for index in _list(obj["negative_indices"], "negative_indices")
         ),
     )
 
@@ -176,8 +187,16 @@ def tree_from_json(obj) -> CertificateTree:
         form_from_json(obj),
         status_from_json(obj["status"]),
         split_from_json(obj["split"]),
-        tuple(tree_from_json(child) for child in obj["children"]),
+        tuple(tree_from_json(child) for child in _list(obj["children"], "children")),
     )
+
+
+def failing_to_json(frontier) -> list:
+    """A payload's "failing" list: one {path, negative_indices} per ``failing_leaves`` pair."""
+    return [
+        {"path": list(path), "negative_indices": [list(i) for i in leaf.status.negative_indices]}
+        for path, leaf in frontier
+    ]
 
 
 def canonical_dumps(obj) -> str:

@@ -30,7 +30,7 @@ from berncert import (
 )
 from berncert.bernstein import MAX_COEFFICIENTS
 from berncert.cli import main
-from berncert.serialize import form_to_json, parse_json_exact, status_to_json
+from berncert.serialize import form_to_json, parse_json_exact, status_to_json, tree_from_json
 from helpers import rand_polynomial, rand_simplex
 from test_bernstein import _rand_wide_simplex, _solve_oracle
 
@@ -46,7 +46,7 @@ def _quartic3_text():
     return format_polynomial(q * q + Fraction(1, 10))
 
 
-# --- homogenised_form --------------------------------------------------------
+# --- bernstein.homogenised_form, the checker's leaf conversion ----------------
 
 
 def test_homogenised_form_matches_to_bernstein_and_the_full_solve():
@@ -288,6 +288,51 @@ def test_check_certificate_names_the_first_failing_path(capsys):
             check_certificate(bad, p, STD2)
 
 
+def test_check_certificate_requires_lists_where_the_schema_has_lists(capsys):
+    payload, _ = _certificate(capsys, SPLIT_DEMO_TEXT)
+    p = parse_polynomial(SPLIT_DEMO_TEXT)
+    leaf = next(path for path, node in _nodes(payload["tree"]) if not node["children"])
+    assert payload["status"] == "certified" and _at(payload, leaf)["status"]["negative_indices"] == []
+    for edit, named in (
+        (lambda node: node.update(children={}), "children must be a list, not dict"),
+        (lambda node: node["status"].update(negative_indices=""), "negative_indices must be a list, not str"),
+    ):
+        mutated = copy.deepcopy(payload)
+        edit(_at(mutated, leaf))
+        with pytest.raises(ValueError, match=named):  # the codec's reader, shared with verify_tree
+            tree_from_json(mutated["tree"])
+        with pytest.raises(CertificateRejected, match=f"at path root: .*{named}") as info:
+            check_certificate(mutated, p, STD2)
+        assert info.value.path == ()
+
+
+def _degenerate_at_depth_2(capsys):
+    payload, _ = _certificate(capsys, COUNTEREXAMPLE_TEXT, "--max-depth", "2")
+    _at(payload, (0, 0))["simplex"]["vertices"] = [[0, 0], [1, 0], [2, 0]]
+    return payload
+
+
+def test_check_certificate_rejects_what_does_not_decode_at_the_root(capsys):
+    p = counterexample_polynomial()
+    with pytest.raises(CertificateRejected) as info:
+        check_certificate(_degenerate_at_depth_2(capsys), p, STD2)
+    assert info.value.path == ()
+    assert str(info.value).startswith(
+        "certificate rejected at path root: not a certify --json payload (DegenerateSimplexError("
+    )
+    # a chain of elevation records nested deeper than the decoder can recurse
+    one = Polynomial.constant(2, 1)
+    base = _node(one, STD2, 1)
+    node = base
+    for _ in range(3000):
+        node = dict(base, split={"kind": "elevation", "steps": 1}, children=[node])
+    payload = {"status": "certified", "target": "nonnegative", "failing": [], "tree": node}
+    with pytest.raises(CertificateRejected) as info:
+        check_certificate(payload, one, STD2)
+    assert info.value.path == ()
+    assert "not a certify --json payload (RecursionError(" in str(info.value)
+
+
 # --- berncert verify ---------------------------------------------------------
 
 
@@ -340,6 +385,12 @@ def test_verify_exit_codes(tmp_path, capsys):
     code, out, err = _run(capsys, "verify", str(garbled), SPLIT_DEMO_TEXT)
     assert (code, out) == (2, "")
     assert err.startswith("error: certificate is not valid JSON: ") and err.count("\n") == 1
+    degenerate = tmp_path / "degenerate.json"
+    degenerate.write_text(json.dumps(_degenerate_at_depth_2(capsys)))
+    code, out, err = _run(capsys, "verify", str(degenerate), COUNTEREXAMPLE_TEXT)
+    assert (code, out) == (6, "")
+    assert err.startswith("error: certificate rejected at path root: not a certify --json payload (")
+    assert "DegenerateSimplexError" in err and err.count("\n") == 1
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000)
     code, out, err = _run(capsys, "verify", str(deep), SPLIT_DEMO_TEXT)

@@ -13,6 +13,7 @@ from berncert import (
     barycentric_system,
     certify,
     counterexample_polynomial,
+    failing_leaves,
     parse_polynomial,
     standard_simplex,
     to_bernstein,
@@ -20,6 +21,7 @@ from berncert import (
 from berncert.serialize import (
     canonical_dumps,
     digest,
+    failing_to_json,
     form_from_json,
     form_to_json,
     parse_json_exact,
@@ -149,6 +151,38 @@ def test_integer_fields_reject_non_integers():
         assert old in text
         with pytest.raises(ValueError):
             tree_from_json(parse_json_exact(text.replace(old, new, 1)))
+
+
+def test_list_fields_reject_any_other_value():
+    # "" and {} iterate as empty lists, so each once decoded as an empty field
+    tree = certify(counterexample_polynomial(), standard_simplex(2), CertifyConfig(max_depth=1))
+    for value in ("", {}, None, 0, "[]"):
+        for field, where in (
+            ("children", lambda payload: payload),
+            ("children", lambda payload: payload["children"][0]),
+            ("coefficients", lambda payload: payload["children"][0]),
+            ("negative_indices", lambda payload: payload["children"][0]["status"]),
+            (0, lambda payload: payload["children"][0]["status"]["negative_indices"]),
+        ):
+            payload = tree_to_json(tree)
+            where(payload)[field] = value
+            name = "negative index" if field == 0 else field
+            with pytest.raises(ValueError, match=f"^{name} must be a list, not {type(value).__name__}$"):
+                tree_from_json(payload)
+    assert tree_from_json(tree_to_json(tree)) == tree
+
+
+def test_failing_to_json_writes_the_frontier_in_walk_order():
+    p, std2 = counterexample_polynomial(), standard_simplex(2)
+    tree = certify(p, std2, CertifyConfig(max_depth=2))
+    assert failing_to_json(failing_leaves(tree, Target.NONNEGATIVE)) == [
+        {"path": [0, 1], "negative_indices": [[1, 1, 2]]},
+        {"path": [1, 0], "negative_indices": [[0, 1, 3], [1, 1, 2], [2, 1, 1], [3, 1, 0]]},
+        {"path": [1, 1], "negative_indices": [[1, 1, 2], [2, 1, 1], [3, 1, 0]]},
+    ]
+    assert failing_to_json(failing_leaves(tree, Target.POSITIVE))[0]["path"] == [0, 0]
+    certified = certify(parse_polynomial("x1^2 + x2^2 + 1"), std2, CertifyConfig())
+    assert failing_to_json(failing_leaves(certified, Target.POSITIVE)) == []
 
 
 def test_unknown_split_kind_is_a_value_error():
