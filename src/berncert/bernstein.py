@@ -56,6 +56,7 @@ from typing import Iterable, Iterator, Mapping
 from . import linalg
 from .polynomials import (
     Polynomial,
+    _check_num_vars,
     _check_unknowns,
     _Immutable,
     as_int,
@@ -283,13 +284,12 @@ def to_bernstein(p: Polynomial, system: BarycentricSystem, degree: int) -> Berns
     denominator is the solution's times p.den times d!.  The lift shares no
     code with ``degree_elevate``, the search's stepwise rule, so
     ``verify_tree``'s leaf check stays independent of the search's moves.  Raises
-    DegreeTooLowError if degree < deg(p) (no exact representation), and
-    ValueError if the form would have more than MAX_COEFFICIENTS
-    coefficients or the solve more than ``linalg.MAX_UNKNOWNS`` unknowns.
+    ValueError on a variable-count mismatch, or if the form would have more than
+    MAX_COEFFICIENTS coefficients or the solve more than ``linalg.MAX_UNKNOWNS``
+    unknowns, and DegreeTooLowError if degree < deg(p) (no exact representation).
     """
     n = system.simplex.dimension
-    if p.num_vars != n:
-        raise ValueError(f"variable count mismatch: {p.num_vars} != {n}")
+    _check_num_vars(p.num_vars, n)
     if p.degree > as_int(degree, "degree"):
         raise DegreeTooLowError(required=p.degree, requested=degree)
     alphas, row, deltas, weights = _conversion_table(n, p.degree, degree)
@@ -376,8 +376,7 @@ def homogenised_form(p: Polynomial, simplex: Simplex, degree: int) -> BernsteinF
     system, so no unknowns bound applies.
     """
     n = simplex.dimension
-    if p.num_vars != n:
-        raise ValueError(f"variable count mismatch: {p.num_vars} != {n}")
+    _check_num_vars(p.num_vars, n)
     k = p.degree
     if k > as_int(degree, "degree"):
         raise DegreeTooLowError(required=k, requested=degree)

@@ -16,7 +16,7 @@ from math import comb
 
 from .bernstein import BernsteinForm, homogenised_form
 from .certify import EdgeSplit, Elevation, Target, failing_leaves, is_certified, walk
-from .polynomials import Polynomial, same_values
+from .polynomials import Polynomial, _check_num_vars, same_values
 from .serialize import failing_to_json, tree_from_json
 from .simplices import Simplex
 
@@ -87,8 +87,7 @@ def check_certificate(payload, p: Polynomial, simplex: Simplex, target=None) -> 
     leaf's form is not P's form on the leaf.  A P whose variable count
     is not S's dimension is a plain ValueError.
     """
-    if p.num_vars != simplex.dimension:
-        raise ValueError(f"variable count mismatch: {p.num_vars} != {simplex.dimension}")
+    _check_num_vars(p.num_vars, simplex.dimension)
     try:
         claimed = Target(payload["target"])
         tree = tree_from_json(payload["tree"])

@@ -29,8 +29,9 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial, gcd, lcm, prod
-from operator import add
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -57,8 +58,8 @@ class PolynomialParseError(ValueError):
 # The most unknowns of any linear system a conversion builds: on an n-simplex, n for the
 # determinant, n+1 for the coordinate inverse and C(n+k, n) for the basis change at
 # k = deg P; so also the most variables a text may name.  A larger count is a ValueError
-# before a tuple of that length or the matrix is built, so no index enumeration nears the
-# recursion limit.  The benchmark's largest system has 70 unknowns.
+# before an exponent tuple of that length or the matrix is built.  The benchmark's largest
+# system has 70 unknowns.
 MAX_UNKNOWNS = 300
 
 
@@ -68,6 +69,12 @@ def _check_unknowns(count: int, what: str) -> None:
             f"{what} needs a linear system with {count} unknowns, "
             f"more than the bound of {MAX_UNKNOWNS}"
         )
+
+
+def _check_num_vars(got: int, want: int) -> None:
+    """The one variable-count rule, for ring operands, both conversions and the checker."""
+    if got != want:
+        raise ValueError(f"variable count mismatch: {got} != {want}")
 
 
 # the exponent of a literal as ``Fraction`` spells it: Unicode digits, "_" between them
@@ -150,15 +157,13 @@ def grlex_key(exponents: tuple[int, ...]) -> tuple:
 
 
 def vectors_with_sum(slots: int, total: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``slots`` nonnegative ints summing to ``total``, lex ascending."""
+    """All tuples of ``slots`` nonnegative ints summing to ``total``, lex ascending, by stars
+    and bars: ``slots - 1`` cut points in 0..total, taken as lex-ordered multisets, split
+    ``total`` into the parts between them.  A bad count is a ValueError on the first ``next``."""
     if slots < 1 or total < 0:
         raise ValueError(f"need slots >= 1 and total >= 0, got {slots} and {total}")
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in vectors_with_sum(slots - 1, total - first):
-            yield (first,) + rest
+    for cuts in combinations_with_replacement(range(total + 1), slots - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def multinomial(total: int, parts: Iterable[int]) -> int:
@@ -280,12 +285,6 @@ class Polynomial(_Immutable):
 
     # --- ring operations ----------------------------------------------
 
-    def _check_vars(self, other: "Polynomial") -> None:
-        if self.num_vars != other.num_vars:
-            raise ValueError(
-                f"variable count mismatch: {self.num_vars} != {other.num_vars}"
-            )
-
     @staticmethod
     def _coerce(value, num_vars) -> "Polynomial | None":
         if isinstance(value, Polynomial):
@@ -296,11 +295,11 @@ class Polynomial(_Immutable):
         return None
 
     def __add__(self, other) -> "Polynomial":
-        """The sum, over the lcm of the two denominators."""
+        """The sum, over the lcm of the two denominators; the variable counts must agree."""
         other = self._coerce(other, self.num_vars)
         if other is None:
             return NotImplemented
-        self._check_vars(other)
+        _check_num_vars(self.num_vars, other.num_vars)
         den = lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
         out = {e: v * sa for e, v in self.nums.items()}
@@ -332,11 +331,12 @@ class Polynomial(_Immutable):
         return other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        """The product: the numerators convolved, over the product of the denominators."""
+        """The product: the numerators convolved, over the product of the denominators.
+        The variable counts must agree, as for ``+``."""
         other = self._coerce(other, self.num_vars)
         if other is None:
             return NotImplemented
-        self._check_vars(other)
+        _check_num_vars(self.num_vars, other.num_vars)
         right = other.nums.items()
         acc: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.nums.items():

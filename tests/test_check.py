@@ -163,6 +163,25 @@ def test_check_certificate_rejects_another_root_simplex(capsys):
         check_certificate(payload, p, standard_simplex(3))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, s: p + Polynomial.zero(s.dimension),
+        lambda p, s: p * Polynomial.zero(s.dimension),
+        lambda p, s: to_bernstein(p, barycentric_system(s), 2),
+        lambda p, s: homogenised_form(p, s, 2),
+        lambda p, s: check_certificate({}, p, s),  # before the payload is decoded
+    ],
+    ids=["add", "mul", "to_bernstein", "homogenised_form", "check_certificate"],
+)
+def test_one_variable_count_rule(call):
+    p = parse_polynomial(Q_TEXT)
+    with pytest.raises(ValueError) as info:
+        call(p, standard_simplex(3))
+    assert type(info.value) is ValueError  # not CertificateRejected
+    assert str(info.value) == "variable count mismatch: 2 != 3"
+
+
 def _nodes(tree, path=()):
     yield path, tree
     for idx, child in enumerate(tree["children"]):
@@ -186,8 +205,9 @@ def _mutations(payload):
                 def shift(n, v=v, c=c):
                     n["simplex"]["vertices"][v][c] = Fraction(n["simplex"]["vertices"][v][c]) + 1
                 yield "vertex", path, shift
-        for kind in {"positive", "nonnegative", "indeterminate"} - {node["status"]["kind"]}:
-            yield "status", path, lambda n, kind=kind: n["status"].update(kind=kind)
+        for kind in ("positive", "nonnegative", "indeterminate"):  # a fixed order, not a set's
+            if kind != node["status"]["kind"]:
+                yield "status", path, lambda n, kind=kind: n["status"].update(kind=kind)
         split = node["split"]
         if split is None:
             for e in range(len(node["coefficients"])):

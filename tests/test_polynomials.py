@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -304,12 +305,20 @@ def test_foreign_operands():
 def test_index_helpers_reject_bad_arguments():
     assert list(vectors_with_sum(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert multinomial(3, (1, 2)) == 3
-    with pytest.raises(ValueError):
-        list(vectors_with_sum(0, 1))
-    with pytest.raises(ValueError):
-        list(vectors_with_sum(1, -1))
+    for slots, total in ((0, 1), (1, -1)):
+        vectors = vectors_with_sum(slots, total)  # lazy: refused on the first next
+        message = f"need slots >= 1 and total >= 0, got {slots} and {total}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            next(vectors)
     with pytest.raises(ValueError):
         multinomial(3, (1, 1))
+
+
+def test_vectors_with_sum_is_the_lex_filter_of_the_product():
+    for slots in range(1, 7):
+        for total in range(9):
+            grid = itertools.product(range(total + 1), repeat=slots)
+            assert list(vectors_with_sum(slots, total)) == [v for v in grid if sum(v) == total]
 
 
 def test_format_round_trip():
